@@ -46,6 +46,7 @@ from repro.gateway.protocol import (
     GatewayRequest,
     encode,
     error_payload,
+    error_response,
     ok_payload,
     parse_request,
 )
@@ -477,22 +478,8 @@ class ClusterRouter:
                 )
         except asyncio.CancelledError:
             raise
-        except GatewayError as error:
-            if request_id is None:
-                request_id = error.request_id  # parse failed past the id
-            payload = error_payload(
-                request_id, error.code, str(error), error.retry_after_ms
-            )
-        except ReproError as error:
-            payload = error_payload(
-                request_id, ErrorCode.INTERNAL, str(error)
-            )
         except Exception as error:  # noqa: BLE001 - boundary
-            payload = error_payload(
-                request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
+            payload = error_response(request_id, error)
         await self._write(writer, write_lock, payload)
 
     # -- aggregation ops -------------------------------------------------------

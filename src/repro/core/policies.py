@@ -71,19 +71,15 @@ class GreedyUsefulnessPolicy:
     already-certain databases — so greedy never prefers a probe that
     cannot help over one that can.
 
-    By default the per-atom conditional scores come from
+    A vectorized backend computes every candidate's usefulness in one
+    cached array pass (:meth:`TopKComputer.usefulness_sweep`); otherwise
+    the per-atom conditional scores come from
     :meth:`TopKComputer.conditional_best_scores`, which evaluates every
-    atom of the candidate in one vectorized leave-one-out pass.
-    ``batched=False`` keeps the original one-``best_set``-per-atom
-    sweep; the two paths agree to floating-point tolerance and the
-    legacy path remains the reference for the agreement tests and the
-    ``bench-core`` baseline.
+    atom of the candidate in one leave-one-out pass. Both accumulate
+    identically, float for float.
     """
 
     _NEGLIGIBLE = 1e-9
-
-    def __init__(self, batched: bool = True) -> None:
-        self._batched = batched
 
     def usefulness(
         self,
@@ -92,42 +88,22 @@ class GreedyUsefulnessPolicy:
         metric: CorrectnessMetric,
     ) -> float:
         """Expected post-probe maximal correctness for one database."""
-        if self._batched:
-            # Whole-sweep fast path: a vectorized backend computes every
-            # candidate's usefulness in one cached array pass (identical
-            # accumulation to the per-atom loop below, float for float).
-            # getattr-guarded so duck-typed computers without the sweep
-            # keep working.
-            sweep_fn = getattr(computer, "usefulness_sweep", None)
-            if sweep_fn is not None:
-                sweep = sweep_fn(metric, self._NEGLIGIBLE)
-                if sweep is not None:
-                    return float(sweep[database])
-        atoms = computer.atoms_of(database)
-        if self._batched:
-            scores = computer.conditional_best_scores(
-                database, metric, min_prob=self._NEGLIGIBLE
-            )
-            total = 0.0
-            for (_t, _value, prob), score in zip(atoms, scores):
-                # Negligible-mass atoms contribute at most their
-                # probability.
-                if prob < self._NEGLIGIBLE:
-                    total += prob
-                else:
-                    total += prob * float(score)
-            return total
+        sweep = computer.usefulness_sweep(metric, self._NEGLIGIBLE)
+        if sweep is not None:
+            return float(sweep[database])
+        scores = computer.conditional_best_scores(
+            database, metric, min_prob=self._NEGLIGIBLE
+        )
         total = 0.0
-        skipped = 0.0
-        for atom_index, _value, prob in atoms:
+        for (_t, _value, prob), score in zip(
+            computer.atoms_of(database), scores
+        ):
+            # Negligible-mass atoms contribute at most their probability.
             if prob < self._NEGLIGIBLE:
-                skipped += prob
-                continue
-            _best, score = computer.best_set(
-                metric, override=(database, atom_index)
-            )
-            total += prob * score
-        return total + skipped
+                total += prob
+            else:
+                total += prob * float(score)
+        return total
 
     def choose(
         self,
@@ -160,15 +136,13 @@ class GreedyUsefulnessPolicy:
                     # Usefulness is a probability, so no later candidate
                     # can clear the 1e-12 acceptance margin over 1.0 —
                     # the sweep's outcome is already decided. Saves the
-                    # tail of the sweep on the non-vectorized fallback
-                    # paths without changing any choice.
+                    # tail of the sweep on the per-database route
+                    # without changing any choice.
                     break
         return best_db
 
     def __repr__(self) -> str:
-        if self._batched:
-            return "GreedyUsefulnessPolicy()"
-        return "GreedyUsefulnessPolicy(batched=False)"
+        return "GreedyUsefulnessPolicy()"
 
 
 class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
@@ -186,8 +160,7 @@ class CostAwareGreedyPolicy(GreedyUsefulnessPolicy):
         Per-database probe costs in mediation order (all positive).
     """
 
-    def __init__(self, costs: Sequence[float], batched: bool = True) -> None:
-        super().__init__(batched=batched)
+    def __init__(self, costs: Sequence[float]) -> None:
         cost_list = [float(c) for c in costs]
         if not cost_list or any(c <= 0 for c in cost_list):
             raise ProbingError("probe costs must be positive and non-empty")

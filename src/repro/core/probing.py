@@ -171,15 +171,6 @@ class APro:
         probes through the selector's mediator). The serving layer
         plugs a concurrent, fault-tolerant
         :class:`~repro.service.executor.ProbeExecutor` in here.
-    incremental:
-        Apply observations through
-        :meth:`~repro.core.topk.TopKComputer.collapse`, reusing the
-        rank structure built once per query (the default). ``False``
-        rebuilds a fresh :class:`TopKComputer` after every observation —
-        the pre-optimization behaviour, kept as the reference path for
-        the agreement tests and the ``bench-core`` baseline. Both paths
-        produce identical answer sets and probe orders (certainties
-        agree to floating-point tolerance).
     backend:
         Numeric backend for RD construction and the top-k computers: a
         registry name (``"numpy"``, ``"python"``), an
@@ -204,7 +195,6 @@ class APro:
         selector: RDBasedSelector,
         policy: ProbePolicy | None = None,
         prober: BatchProber | None = None,
-        incremental: bool = True,
         backend: "str | ArrayBackend | None" = None,
         prune: bool = False,
     ) -> None:
@@ -213,12 +203,9 @@ class APro:
         self._prober = prober or MediatorProber(
             selector.mediator, selector.definition
         )
-        self._incremental = incremental
         self._backend = backend
         self._prune = prune
         self._policy_takes_deadline = _accepts_deadline(self._policy)
-        self._selector_takes_backend = _accepts_backend(self._selector)
-        self._selector_takes_indices = _accepts_indices(self._selector)
 
     @property
     def prober(self) -> BatchProber:
@@ -311,16 +298,13 @@ class APro:
                 raise ProbingError(
                     f"keep indices must be within [0, {n - 1}], got {pool}"
                 )
-        build_kwargs: dict[str, object] = {}
-        if self._selector_takes_backend:
-            build_kwargs["backend"] = self._backend
-        if pool is not None and len(pool) < n and self._selector_takes_indices:
-            # A hard candidate cut: skip RD construction for the
-            # excluded databases entirely (the restricted loop below
-            # never consults their placeholder slots).
-            build_kwargs["indices"] = pool
+        # A hard candidate cut skips RD construction for the excluded
+        # databases entirely (the restricted loop below never consults
+        # their placeholder slots).
         rds: list[RelevancyDistribution] = self._selector.build_rds(
-            query, **build_kwargs
+            query,
+            backend=self._backend,
+            indices=pool if pool is not None and len(pool) < n else None,
         )
         session = ProbeSession(
             query=query, k=k, metric=metric, threshold=threshold
@@ -444,17 +428,10 @@ class APro:
                     # rebuild is answer-equivalent to the collapse).
                     local_of = {g: p for p, g in enumerate(sub)}
                     computer = self._restricted_computer(rds, sub, k)
-                elif sub is None:
-                    if self._incremental:
-                        computer = computer.collapse(choice, observed)
-                    else:
-                        computer = TopKComputer(
-                            rds, k, backend=self._backend
-                        )
-                elif self._incremental:
-                    computer = computer.collapse(local_of[choice], observed)
                 else:
-                    computer = self._restricted_computer(rds, sub, k)
+                    computer = computer.collapse(
+                        choice if sub is None else local_of[choice], observed
+                    )
                 best, score = computer.best_set(metric)
                 self._record_point(
                     session, mediator, len(probed), best, score, sub
@@ -577,39 +554,6 @@ def _pad_survivors(
     )
     kept.update(nearest[: target - len(kept)])
     return sorted(kept)
-
-
-def _accepts_backend(selector: RDBasedSelector) -> bool:
-    """Whether ``selector.build_rds`` takes a ``backend`` keyword.
-
-    Mirrors :func:`_accepts_deadline`: duck-typed selectors written
-    against the one-argument signature keep working (their RDs are
-    backend-independent values anyway).
-    """
-    return _build_rds_takes(selector, "backend")
-
-
-def _accepts_indices(selector: RDBasedSelector) -> bool:
-    """Whether ``selector.build_rds`` can restrict construction.
-
-    When it can, an explicit ``keep`` only builds RDs for the kept
-    databases — the per-query sublinear path. Duck-typed selectors
-    without the keyword still work; they just pay the full build.
-    """
-    return _build_rds_takes(selector, "indices")
-
-
-def _build_rds_takes(selector: RDBasedSelector, name: str) -> bool:
-    try:
-        parameters = inspect.signature(selector.build_rds).parameters
-    except (TypeError, ValueError, AttributeError):
-        return False
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return True
-    return name in parameters
 
 
 def _accepts_deadline(policy: ProbePolicy) -> bool:

@@ -72,6 +72,7 @@ from repro.gateway.protocol import (
     answer_payload,
     encode,
     error_payload,
+    error_response,
     ok_payload,
     parse_request,
 )
@@ -453,24 +454,8 @@ class MetasearchGateway:
                 payload = ok_payload(request_id, result)
         except asyncio.CancelledError:
             raise
-        except GatewayError as error:
-            if request_id is None:
-                request_id = error.request_id  # parse failed past the id
-            payload = error_payload(
-                request_id, error.code, str(error), error.retry_after_ms
-            )
-        except ReproError as error:
-            # Library-level rejections (e.g. a query that analyzes to no
-            # terms) are the client's fault, not the gateway's.
-            payload = error_payload(
-                request_id, ErrorCode.BAD_REQUEST, str(error)
-            )
         except Exception as error:  # noqa: BLE001 - boundary
-            payload = error_payload(
-                request_id,
-                ErrorCode.INTERNAL,
-                f"{type(error).__name__}: {error}",
-            )
+            payload = error_response(request_id, error)
         await self._write(writer, write_lock, payload)
 
     # -- search path -----------------------------------------------------------

@@ -36,6 +36,7 @@ split is what the gateway's byte-identity tests compare on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +53,7 @@ __all__ = [
     "answer_payload",
     "ok_payload",
     "error_payload",
+    "error_response",
     "error_from_payload",
     "encode",
     "decode",
@@ -159,12 +161,23 @@ def _bad(message: str) -> GatewayError:
 def _require_number(
     payload: dict, name: str, default: float | None
 ) -> float | None:
-    value = payload.get(name, default)
-    if value is None:
-        return None
+    """The finite number under *name*, or *default* when it is absent.
+
+    An explicit ``null`` is a defect, not an absence: clients omit the
+    field to get the default.
+    """
+    if name not in payload:
+        return default
+    value = payload[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _bad(f"{name!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _bad(f"{name!r} must be finite, got {value!r}")
+    return number
 
 
 def parse_request(line: str | bytes) -> GatewayRequest:
@@ -310,6 +323,32 @@ def error_payload(
         "ok": False,
         "error": error,
     }
+
+
+def error_response(
+    request_id: object, error: Exception
+) -> dict[str, object]:
+    """The error envelope for an exception raised while serving a request.
+
+    The one exception → code mapping of every `gateway/v1` server (the
+    gateway and the cluster router): a :class:`GatewayError` keeps its
+    code and retry hint, and supplies the id when the caller could not
+    recover one (parsing failed past it); any other
+    :class:`~repro.exceptions.ReproError` is a library-level rejection
+    of the request (e.g. a query that analyzes to no terms), so
+    ``bad_request``; anything else is ``internal``.
+    """
+    if isinstance(error, GatewayError):
+        if request_id is None:
+            request_id = error.request_id
+        return error_payload(
+            request_id, error.code, str(error), error.retry_after_ms
+        )
+    if isinstance(error, ReproError):
+        return error_payload(request_id, ErrorCode.BAD_REQUEST, str(error))
+    return error_payload(
+        request_id, ErrorCode.INTERNAL, f"{type(error).__name__}: {error}"
+    )
 
 
 def error_from_payload(payload: dict) -> GatewayError:

@@ -119,12 +119,6 @@ class ServiceConfig:
         CPU-bound selection stages (``0`` = in-process selection, the
         historical behaviour). ``None`` (the default) reads the
         ``REPRO_POOL_WORKERS`` env knob, falling back to ``0``.
-    pool_mode:
-        Dispatch protocol. Only ``"query"`` (whole-query dispatch with
-        a probe callback over the worker pipe) is implemented — the
-        field exists so the alternative parent-driven-rounds protocol
-        has a configuration seam if it is ever needed; see
-        ``docs/PERFORMANCE.md`` for why whole-query won.
     pool_tasks_per_worker:
         Recycle a pool worker after this many requests (``None`` =
         never). The standard hedge against slow leaks in long-lived
@@ -186,7 +180,6 @@ class ServiceConfig:
     cache_tier: str | None = None
     cache_tier_timeout_s: float = 1.0
     pool_workers: int | None = None
-    pool_mode: str = "query"
     pool_tasks_per_worker: int | None = None
     pool_lease_timeout_s: float = 5.0
     pool_max_pending: int = 64
@@ -254,11 +247,6 @@ class ServiceConfig:
         if self.pool_workers < 0:
             raise ConfigurationError(
                 f"pool_workers must be >= 0, got {self.pool_workers}"
-            )
-        if self.pool_mode != "query":
-            raise ConfigurationError(
-                f"pool_mode must be 'query' (whole-query dispatch with "
-                f"probe callback), got {self.pool_mode!r}"
             )
         if (
             self.pool_tasks_per_worker is not None

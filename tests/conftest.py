@@ -156,3 +156,34 @@ def numeric_backend(request):
 
     with use_backend(request.param):
         yield request.param
+
+
+@pytest.fixture()
+def rebuild_on_collapse(monkeypatch):
+    """Swap incremental belief updates for from-scratch rebuilds.
+
+    The reference for :meth:`TopKComputer.collapse`: a fresh computer
+    over the post-probe RDs, built with the same settings. Everything
+    that applies observations (``APro``, the policies' memos) then runs
+    on rebuilt rank structures. Returns a one-element call counter so a
+    test can assert the reference path actually ran.
+    """
+    from repro.core.topk import TopKComputer
+    from repro.stats.distribution import DiscreteDistribution
+
+    calls = [0]
+
+    def rebuild(self, database, value):
+        calls[0] += 1
+        rds = [self.rd(i) for i in range(self.num_databases)]
+        rds[database] = DiscreteDistribution.impulse(float(value))
+        return TopKComputer(
+            rds,
+            self.k,
+            exact_set_limit=self._exact_set_limit,
+            swap_width=self._swap_width,
+            backend=self.backend_name,
+        )
+
+    monkeypatch.setattr(TopKComputer, "collapse", rebuild)
+    return calls

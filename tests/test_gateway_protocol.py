@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.exceptions import ReproError
 from repro.gateway.protocol import (
     PROTOCOL_VERSION,
     ErrorCode,
@@ -12,6 +13,7 @@ from repro.gateway.protocol import (
     encode,
     error_from_payload,
     error_payload,
+    error_response,
     ok_payload,
     parse_request,
 )
@@ -113,6 +115,40 @@ class TestParseRequest:
             parse_request(request_line(**fields))
         assert excinfo.value.code is ErrorCode.BAD_REQUEST
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # An explicit null is a defect, not an absent field.
+            b'{"v":"gateway/v1","op":"search","query":"a","k":3,'
+            b'"certainty":null,"id":7}',
+            b'{"v":"gateway/v1","op":"search","query":"a",'
+            b'"deadline_ms":null,"id":7}',
+            # Non-finite numbers (Python's json accepts these tokens).
+            b'{"v":"gateway/v1","op":"search","query":"a",'
+            b'"deadline_ms":Infinity,"id":7}',
+            b'{"v":"gateway/v1","op":"search","query":"a",'
+            b'"deadline_ms":NaN,"id":7}',
+            # An integer too large for a float.
+            b'{"v":"gateway/v1","op":"search","query":"a",'
+            b'"deadline_ms":1' + b"0" * 400 + b',"id":7}',
+        ],
+        ids=[
+            "certainty-null",
+            "deadline-null",
+            "deadline-infinity",
+            "deadline-nan",
+            "deadline-huge-int",
+        ],
+    )
+    def test_null_and_non_finite_numbers_echo_id(self, line):
+        with pytest.raises(GatewayError) as excinfo:
+            parse_request(line)
+        assert excinfo.value.code is ErrorCode.BAD_REQUEST
+        assert excinfo.value.request_id == 7
+        payload = error_response(None, excinfo.value)
+        assert payload["id"] == 7
+        assert payload["error"]["code"] == "bad_request"
+
     def test_not_json(self):
         with pytest.raises(GatewayError) as excinfo:
             parse_request(b"hello\n")
@@ -127,6 +163,38 @@ class TestParseRequest:
         with pytest.raises(GatewayError) as excinfo:
             parse_request(b"\xff\xfe\n")
         assert excinfo.value.code is ErrorCode.BAD_REQUEST
+
+
+class TestErrorResponse:
+    def test_gateway_error_keeps_code_and_retry_hint(self):
+        error = GatewayError(
+            ErrorCode.OVERLOADED, "busy", retry_after_ms=25.0
+        )
+        payload = error_response(3, error)
+        assert payload["id"] == 3
+        assert payload["ok"] is False
+        assert payload["error"] == {
+            "code": "overloaded",
+            "message": "busy",
+            "retry_after_ms": 25.0,
+        }
+
+    def test_gateway_error_supplies_missing_id(self):
+        error = GatewayError(ErrorCode.BAD_REQUEST, "bad", request_id="r1")
+        assert error_response(None, error)["id"] == "r1"
+        # An id the caller already recovered wins.
+        assert error_response("r0", error)["id"] == "r0"
+
+    def test_library_rejection_is_bad_request(self):
+        payload = error_response(9, ReproError("query has no terms"))
+        assert payload["id"] == 9
+        assert payload["error"]["code"] == "bad_request"
+        assert payload["error"]["message"] == "query has no terms"
+
+    def test_anything_else_is_internal(self):
+        payload = error_response(9, KeyError("boom"))
+        assert payload["error"]["code"] == "internal"
+        assert payload["error"]["message"].startswith("KeyError")
 
 
 class TestEnvelopes:

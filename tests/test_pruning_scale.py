@@ -182,22 +182,21 @@ class TestExactModeIdentity:
         # The sweep must actually exercise the pruning path.
         assert pruned_total > 0
 
-    def test_backends_agree_under_pruning(self, trained_pipeline):
-        sessions = []
-        for backend in ("numpy", "python"):
-            for incremental in (True, False):
-                apro = APro(
-                    trained_pipeline["selector"],
-                    incremental=incremental,
-                    backend=backend,
-                    prune=True,
-                )
-                sessions.append(
-                    [
-                        apro.run(query, k=2, threshold=0.9)
-                        for query in trained_pipeline["test_queries"][:4]
-                    ]
-                )
+    def test_backends_agree_under_pruning(self, trained_pipeline, request):
+        def sessions_on(backend):
+            apro = APro(
+                trained_pipeline["selector"], backend=backend, prune=True
+            )
+            return [
+                apro.run(query, k=2, threshold=0.9)
+                for query in trained_pipeline["test_queries"][:4]
+            ]
+
+        sessions = [sessions_on("numpy"), sessions_on("python")]
+        # The same two runs again with every collapse replaced by a
+        # from-scratch rebuild (the incremental update's reference).
+        request.getfixturevalue("rebuild_on_collapse")
+        sessions += [sessions_on("numpy"), sessions_on("python")]
         reference = sessions[0]
         for other in sessions[1:]:
             for a, b in zip(reference, other):

@@ -559,7 +559,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"pool_workers": -1},
-            {"pool_mode": "rounds"},
             {"pool_tasks_per_worker": 0},
             {"pool_lease_timeout_s": 0.0},
             {"pool_max_pending": 0},
