@@ -1,61 +1,66 @@
 """Command-line interface: ``repro-metasearch``.
 
-Fourteen commands:
+The fourteen commands are the rows of :data:`COMMANDS`: each gives its
+help text, its flags and its handler, and :func:`build_parser` turns
+the table into the argument parser. Flags that several commands share
+are defined once below and take per-command defaults where a row lists
+them. Every bench command is a :class:`Bench` row, run by one runner:
+banner, run, report, report file, check. ``repro-metasearch <command>
+--help`` describes each command.
 
-* ``demo``        — build a testbed, train, and answer one query
-  end-to-end;
-* ``fig``         — regenerate one of the paper's figures/tables on the
-  spot;
-* ``train``       — run the offline phase (optionally in parallel with
-  ``--workers`` and checkpointed with ``--checkpoint``/``--resume``,
-  see ``docs/TRAINING.md``) and save the trained state to JSON;
-* ``serve``       — run a query stream through the concurrent serving
-  layer (optionally fault-injected) and dump metrics JSON;
-* ``gateway``     — run the asyncio TCP front end over a trained
-  service: `gateway/v1` protocol, admission control, coalescing,
-  deadlines (see ``docs/GATEWAY.md``);
-* ``bench-serve`` — benchmark the serving layer: serial vs concurrent
-  executor over a fault-injected testbed (see ``docs/SERVING.md``), or
-  with ``--snapshot`` the in-process-vs-pool selection-throughput grid
-  written to ``BENCH_serve.json`` (see ``docs/PERFORMANCE.md``);
-* ``bench-train`` — benchmark the offline phase: serial vs parallel ED
-  training under injected probe latency (see ``docs/TRAINING.md``);
-* ``bench-core``  — time the per-query hot path (RD build, ``best_set``,
-  ``marginals``, usefulness sweep, APro run) on the numpy backend
-  against the ``python`` oracle and write ``BENCH_core.json`` (see
-  ``docs/PERFORMANCE.md``);
-* ``bench-gateway`` — load-test the gateway: coalescing under a
-  duplicate burst and clean shedding under overload, with p50/p95/p99
-  latency (see ``docs/GATEWAY.md``);
-* ``bench-drift`` — replay a topic-shifting corpus against an adapting
-  vs. a frozen service and write ``BENCH_drift.json`` (see
-  ``docs/ADAPTATION.md``);
-* ``cluster``     — run a sharded multi-replica cluster: N subprocess
-  replicas behind a consistent-hash router, with an optional shared
-  selection-cache tier (see ``docs/CLUSTER.md``);
-* ``bench-cluster`` — benchmark the cluster: QPS across 1/2/4
-  replicas with answers proven identical to a single node, cursor
-  paging, a cross-replica cache-tier hit, and a mid-burst replica
-  kill, written to ``BENCH_cluster.json`` (see ``docs/CLUSTER.md``);
-* ``bench-scale`` — benchmark selection cost vs federated database
-  count: unpruned vs exact bound pruning vs the top-M prefilter tier,
-  with answer-identity proven for exact mode and the prefilter's
-  quality delta measured, written to ``BENCH_scale.json`` (see
-  ``docs/PERFORMANCE.md``);
-* ``bench-index`` — aggregate every committed ``BENCH_*.json`` into
-  one schema-validated summary of hosts and target verdicts.
-
-All commands are deterministic for a given ``--seed`` (wall-clock
-metrics excepted).
+Exit codes: 0 success, 1 nothing to serve, 2 a usage or configuration
+error, 3 a failed ``--check``. All commands are deterministic for a
+given ``--seed`` (wall-clock metrics excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import json
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any
 
+from repro.adapt.bench import (
+    BenchDriftConfig,
+    format_bench_drift,
+    run_bench_drift,
+    validate_bench_drift,
+)
+from repro.cluster import (
+    CLUSTER_REPLICAS_ENV,
+    BenchClusterConfig,
+    LocalCluster,
+    ReplicaSpec,
+    RouterConfig,
+    format_bench_cluster,
+    run_bench_cluster,
+    validate_bench_cluster,
+)
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.ablations import compare_probing_policies
+from repro.experiments.bench_core import (
+    BenchCoreConfig,
+    check_bench_core,
+    format_bench_core,
+    read_bench_core,
+    run_bench_core,
+    validate_bench_core,
+)
+from repro.experiments.bench_index import (
+    build_bench_index,
+    check_bench_index,
+    format_bench_index,
+)
+from repro.experiments.bench_scale import (
+    BenchScaleConfig,
+    check_bench_scale,
+    format_bench_scale,
+    run_bench_scale,
+)
 from repro.experiments.harness import evaluate_selection_quality, train_pipeline
 from repro.experiments.probing_curves import probing_curves
 from repro.experiments.reporting import (
@@ -64,795 +69,314 @@ from repro.experiments.reporting import (
     format_table,
     format_threshold_probes,
 )
-from repro.exceptions import ReproError
 from repro.experiments.setup import PaperSetupConfig, build_paper_context
 from repro.experiments.threshold_probes import probes_per_threshold
+from repro.gateway.bench import (
+    BenchGatewayConfig,
+    format_bench_gateway,
+    run_bench_gateway,
+    validate_bench_gateway,
+)
+from repro.gateway.gateway import GatewayConfig, MetasearchGateway
+from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
+from repro.service.bench import (
+    BenchServeConfig,
+    BenchServeSnapshotConfig,
+    BenchTrainConfig,
+    build_trained_testbed,
+    format_bench_serve,
+    format_bench_serve_snapshot,
+    format_bench_train,
+    run_bench_serve,
+    run_bench_serve_snapshot,
+    run_bench_train,
+    validate_bench_serve_snapshot,
+)
+from repro.service.faults import FaultInjector
+from repro.service.server import MetasearchService, ServiceConfig
 
 __all__ = ["main", "build_parser"]
 
 
-def _add_adapt_arguments(sub: argparse.ArgumentParser) -> None:
-    """The online-adaptation knobs shared by ``serve`` and ``gateway``."""
-    sub.add_argument(
-        "--adapt",
-        action="store_true",
+@dataclass(frozen=True)
+class Flag:
+    """One ``add_argument`` call; calling a flag overrides its keywords."""
+
+    name: str
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+    def __call__(self, **overrides: Any) -> Flag:
+        return Flag(self.name, {**self.kwargs, **overrides})
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest") or self.name.lstrip("-").replace("-", "_")
+
+
+def _flag(name: str, **kwargs: Any) -> Flag:
+    return Flag(name, kwargs)
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated integer list, got {raw!r}"
+        ) from None
+
+
+# -- Shared flags and argument groups -------------------------------------
+
+SCALE = _flag(
+    "--scale", type=float, default=0.1,
+    help="testbed size multiplier (default 0.1)",
+)
+SEED = _flag("--seed", type=int, default=2004, help="master random seed")
+TRAIN_QUERIES = _flag(
+    "--train-queries", type=int, default=500, help="number of training queries"
+)
+TEST_QUERIES = _flag(
+    "--test-queries", type=int, default=80, help="number of evaluation queries"
+)
+#: The global flags, given before the command.
+TESTBED = (SCALE, SEED, TRAIN_QUERIES, TEST_QUERIES)
+#: Harness config field -> testbed flag, shared by the bench configs.
+TESTBED_FIELDS = {
+    "scale": "scale", "seed": "seed",
+    "n_train": "train_queries", "n_test": "test_queries",
+}
+
+K = _flag("--k", type=int)
+CERTAINTY = _flag("--certainty", type=float)
+BATCH = _flag("--batch", type=int, help="probes per APro round")
+WORKERS = _flag("--workers", type=int)
+POOL = _flag("--pool", type=int)
+QUERIES = _flag("--queries", type=int)
+UNIQUE = _flag("--unique", type=int)
+REPEATS = _flag("--repeats", type=int)
+HOST = _flag("--host", default="127.0.0.1")
+PORT = _flag("--port", type=int)
+MAX_INFLIGHT = _flag("--max-inflight", type=int, default=8)
+MAX_QUEUE = _flag("--max-queue", type=int, default=32)
+LATENCY = _flag("--latency-ms", type=float, help="injected mean probe latency")
+ERROR_RATE = _flag(
+    "--error-rate", type=float, default=0.0,
+    help="injected probe failure probability",
+)
+METRICS_OUT = _flag(
+    "--metrics-out", default=None,
+    help="write the metrics snapshot JSON to this path",
+)
+TRACE = _flag("--trace", metavar="PATH", default=None)
+OUT = _flag("--out", help="path of the report JSON (default %(default)s)")
+CHECK = _flag("--check", action="store_true")
+
+#: The serving stack that ``serve`` and ``gateway`` build with
+#: :func:`_service`, fault injection included.
+SERVICE = (
+    BATCH(default=4),
+    WORKERS(default=8, help="probe thread-pool width"),
+    POOL(
         default=None,
+        help=(
+            "selection-pool worker processes (0 = in-process; default "
+            "reads REPRO_POOL_WORKERS)"
+        ),
+    ),
+    _flag(
+        "--cache-ttl", type=float, default=300.0,
+        help="selection-cache TTL in seconds (0 disables the cache)",
+    ),
+    LATENCY(default=0.0, help="injected mean probe latency (0 = none)"),
+    ERROR_RATE,
+)
+
+#: Online adaptation; each dest is the :class:`ServiceConfig` field.
+ADAPT = (
+    _flag(
+        "--adapt", action="store_true", default=None,
         help=(
             "enable online ED adaptation (observation windows + drift "
             "checks; default reads REPRO_ADAPT)"
         ),
-    )
-    sub.add_argument(
-        "--adapt-window",
-        type=int,
-        default=256,
+    ),
+    _flag(
+        "--adapt-window", type=int, default=256,
         help="serve-time samples retained per database (default 256)",
-    )
-    sub.add_argument(
-        "--adapt-check-every",
-        type=int,
-        default=64,
+    ),
+    _flag(
+        "--adapt-check-every", type=int, default=64,
         help="observations between drift checks (default 64)",
-    )
-    sub.add_argument(
-        "--adapt-significance",
-        type=float,
-        default=0.01,
+    ),
+    _flag(
+        "--adapt-significance", type=float, default=0.01,
         help="chi-square p-value at or below which a database is "
         "flagged as drifted (default 0.01)",
-    )
-    sub.add_argument(
-        "--adapt-min-samples",
-        type=int,
-        default=48,
+    ),
+    _flag(
+        "--adapt-min-samples", type=int, default=48,
         help="window floor below which a database is never flagged "
         "(default 48)",
-    )
-    sub.add_argument(
-        "--adapt-auto-swap",
-        action="store_true",
+    ),
+    _flag(
+        "--adapt-auto-swap", action="store_true",
         help=(
             "hot-swap a refreshed model automatically when drift is "
             "flagged (default: observe and flag only)"
         ),
+    ),
+)
+
+
+def _faults(latency_ms: float, error_rate: float, timeout_ms: float) -> tuple:
+    """Injected probe faults and the retries that absorb them."""
+    return (
+        LATENCY(default=latency_ms),
+        ERROR_RATE(default=error_rate),
+        _flag(
+            "--timeout-ms", type=float, default=timeout_ms,
+            help="per-probe deadline",
+        ),
+        _flag("--retries", type=int, default=2, help="retries per probe"),
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-metasearch`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-metasearch",
-        description=(
-            "Probabilistic metasearching with adaptive probing "
-            "(ICDE 2004 reproduction)"
-        ),
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.1,
-        help="testbed size multiplier (default 0.1)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2004, help="master random seed"
-    )
-    parser.add_argument(
-        "--train-queries",
-        type=int,
-        default=500,
-        help="number of training queries",
-    )
-    parser.add_argument(
-        "--test-queries",
-        type=int,
-        default=80,
-        help="number of evaluation queries",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+# -- The bench runner -----------------------------------------------------
 
-    demo = subparsers.add_parser(
-        "demo", help="train a metasearcher and answer one query"
-    )
-    demo.add_argument(
-        "--query", default="breast cancer chemotherapy", help="query text"
-    )
-    demo.add_argument("--k", type=int, default=3, help="databases to select")
-    demo.add_argument(
-        "--certainty",
-        type=float,
-        default=0.8,
-        help="required expected correctness",
-    )
-    demo.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="probes issued per APro round (default 1 = sequential)",
-    )
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="serve a query stream through the concurrent serving layer",
-    )
-    serve.add_argument(
-        "queries",
-        nargs="?",
-        default=None,
-        help="file with one query per line (default: stdin)",
-    )
-    serve.add_argument("--k", type=int, default=3, help="databases to select")
-    serve.add_argument(
-        "--certainty",
-        type=float,
-        default=0.8,
-        help="required expected correctness",
-    )
-    serve.add_argument(
-        "--batch", type=int, default=4, help="probes per APro round"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8, help="probe thread-pool width"
-    )
-    serve.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help=(
-            "selection-pool worker processes (0 = in-process; default "
-            "reads REPRO_POOL_WORKERS)"
-        ),
-    )
-    serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=300.0,
-        help="selection-cache TTL in seconds (0 disables the cache)",
-    )
-    serve.add_argument(
-        "--latency-ms",
-        type=float,
-        default=0.0,
-        help="injected mean probe latency (0 = none)",
-    )
-    serve.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
-    serve.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the metrics snapshot JSON to this path",
-    )
-    _add_adapt_arguments(serve)
+def _write_json(path: str, document: object) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
-    bench = subparsers.add_parser(
-        "bench-serve",
-        help="benchmark serial vs concurrent probe execution",
-    )
-    bench.add_argument(
-        "--queries", type=int, default=100, help="stream length"
-    )
-    bench.add_argument(
-        "--unique", type=int, default=60, help="unique queries in the stream"
-    )
-    bench.add_argument("--k", type=int, default=3)
-    bench.add_argument("--certainty", type=float, default=0.95)
-    bench.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench.add_argument(
-        "--workers", type=int, default=16, help="concurrent executor width"
-    )
-    bench.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        help=(
-            "selection-pool worker processes for the concurrent leg "
-            "(0 = in-process)"
-        ),
-    )
-    bench.add_argument(
-        "--latency-ms",
-        type=float,
-        default=50.0,
-        help="injected mean probe latency",
-    )
-    bench.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.02,
-        help="injected probe failure probability",
-    )
-    bench.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=150.0,
-        help="per-probe deadline",
-    )
-    bench.add_argument(
-        "--retries", type=int, default=2, help="retries per probe"
-    )
-    bench.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the metrics snapshot JSON to this path",
-    )
-    bench.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace the concurrent leg: write NDJSON span records to "
-            "PATH and report a per-tier latency breakdown "
-            "(see docs/OBSERVABILITY.md)"
-        ),
-    )
-    bench.add_argument(
-        "--snapshot",
-        nargs="?",
-        const="BENCH_serve.json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "instead of the serial-vs-concurrent comparison, measure "
-            "the in-process-vs-pool grid (pool sizes x concurrency) and "
-            "write the stable-schema snapshot JSON here "
-            "(default BENCH_serve.json)"
-        ),
-    )
-    bench.add_argument(
-        "--snapshot-pool-sizes",
-        default="0,1,2,4",
-        help="comma-separated pool sizes for the snapshot grid",
-    )
-    bench.add_argument(
-        "--snapshot-concurrency",
-        default="1,4",
-        help="comma-separated client concurrency levels for the grid",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "with --snapshot: exit non-zero unless the document passes "
-            "schema validation and every grid cell matched the serial "
-            "in-process baseline (CI smoke mode)"
-        ),
-    )
 
-    gateway = subparsers.add_parser(
-        "gateway",
-        help="run the asyncio TCP gateway over a trained service",
-    )
-    gateway.add_argument(
-        "--host", default="127.0.0.1", help="listen address"
-    )
-    gateway.add_argument(
-        "--port", type=int, default=7070, help="listen port (0 = ephemeral)"
-    )
-    gateway.add_argument(
-        "--batch", type=int, default=4, help="probes per APro round"
-    )
-    gateway.add_argument(
-        "--workers", type=int, default=8, help="probe thread-pool width"
-    )
-    gateway.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help=(
-            "selection-pool worker processes (0 = in-process; default "
-            "reads REPRO_POOL_WORKERS)"
-        ),
-    )
-    gateway.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=300.0,
-        help="selection-cache TTL in seconds (0 disables the cache)",
-    )
-    gateway.add_argument(
-        "--latency-ms",
-        type=float,
-        default=0.0,
-        help="injected mean probe latency (0 = none)",
-    )
-    gateway.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
-    gateway.add_argument(
-        "--max-inflight",
-        type=int,
-        default=8,
-        help="concurrent backend requests",
-    )
-    gateway.add_argument(
-        "--max-queue",
-        type=int,
-        default=32,
-        help="admitted requests allowed to queue (beyond = shed)",
-    )
-    gateway.add_argument(
-        "--default-deadline-ms",
-        type=float,
-        default=None,
-        help="deadline applied to requests without their own (ms)",
-    )
-    _add_adapt_arguments(gateway)
+@dataclass(frozen=True)
+class Bench:
+    """A bench command; calling it with the parsed flags runs it.
 
-    bench_gateway = subparsers.add_parser(
-        "bench-gateway",
-        help="load-test the gateway (coalescing + load shedding)",
-    )
-    bench_gateway.add_argument("--k", type=int, default=3)
-    bench_gateway.add_argument("--certainty", type=float, default=0.9)
-    bench_gateway.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench_gateway.add_argument(
-        "--workers", type=int, default=8, help="backend executor width"
-    )
-    bench_gateway.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        help="selection-pool worker processes (0 = in-process)",
-    )
-    bench_gateway.add_argument(
-        "--latency-ms",
-        type=float,
-        default=25.0,
-        help="injected mean probe latency",
-    )
-    bench_gateway.add_argument(
-        "--requests",
-        type=int,
-        default=60,
-        help="requests in the coalesce burst",
-    )
-    bench_gateway.add_argument(
-        "--unique",
-        type=int,
-        default=6,
-        help="unique queries in the coalesce burst",
-    )
-    bench_gateway.add_argument(
-        "--shed-requests",
-        type=int,
-        default=24,
-        help="open-loop arrivals in the shed phase",
-    )
-    bench_gateway.add_argument(
-        "--out",
-        default="bench_gateway.json",
-        help="path of the report JSON (default bench_gateway.json)",
-    )
-    bench_gateway.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trace the coalesce phase: write NDJSON span records to "
-            "PATH and report a per-tier latency breakdown "
-            "(see docs/OBSERVABILITY.md)"
-        ),
-    )
-    bench_gateway.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless coalescing collapsed duplicates and "
-            "overload shed cleanly (CI smoke mode)"
-        ),
-    )
+    ``fields`` maps each keyword of ``config`` to the flag (argparse
+    dest) that sets it. The run prints ``banner``, runs ``run`` on the
+    config, prints ``format``'s text and writes ``document(report)`` to
+    the path in the ``out`` flag, if set. Under ``--check`` it then
+    prints each failure ``check`` returns as ``error:`` and returns 3,
+    or prints ``passed``. ``before`` runs first of all.
+    """
 
-    cluster = subparsers.add_parser(
-        "cluster",
-        help="run N replicas behind a consistent-hash router",
-    )
-    cluster.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help=(
-            "replica processes to spawn (default reads "
-            "REPRO_CLUSTER_REPLICAS, falling back to 2)"
-        ),
-    )
-    cluster.add_argument(
-        "--host", default="127.0.0.1", help="router listen address"
-    )
-    cluster.add_argument(
-        "--port",
-        type=int,
-        default=7071,
-        help="router listen port (0 = ephemeral)",
-    )
-    cluster.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    cluster.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="per-replica probe thread-pool width",
-    )
-    cluster.add_argument(
-        "--pool",
-        type=int,
-        default=0,
-        help="per-replica selection-pool processes (0 = in-process)",
-    )
-    cluster.add_argument(
-        "--max-inflight",
-        type=int,
-        default=8,
-        help="per-replica concurrent backend requests",
-    )
-    cluster.add_argument(
-        "--max-queue",
-        type=int,
-        default=32,
-        help="per-replica admitted queue depth (beyond = shed)",
-    )
-    cluster.add_argument(
-        "--no-cache-tier",
-        action="store_true",
-        help="run without the shared selection-cache tier",
-    )
-    cluster.add_argument(
-        "--cache-tier-address",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "point replicas at an externally-run cache tier instead of "
-            "owning one"
-        ),
-    )
-    cluster.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "mint router.request root spans and serve the collected "
-            "cross-process span trees on the router's trace op"
-        ),
-    )
+    banner: Callable[[argparse.Namespace], str] | None
+    fields: Mapping[str, str]
+    run: Callable[[Any], Any]
+    format: Callable[[Any], str]
+    config: Callable[..., Any] = dict
+    check: Callable[[Any, argparse.Namespace], list[str]] | None = None
+    passed: str | Callable[[Any, argparse.Namespace], str] = ""
+    before: Callable[[argparse.Namespace], None] | None = None
+    out: str = "out"
+    noun: str = "Report"
+    document: Callable[[Any], Any] = lambda report: report
 
-    bench_cluster = subparsers.add_parser(
-        "bench-cluster",
-        help=(
-            "benchmark cluster scaling, cache-tier sharing, cursors, "
-            "and mid-burst failover"
-        ),
-    )
-    bench_cluster.add_argument("--k", type=int, default=3)
-    bench_cluster.add_argument("--certainty", type=float, default=0.9)
-    bench_cluster.add_argument(
-        "--batch", type=int, default=16, help="probes per APro round"
-    )
-    bench_cluster.add_argument(
-        "--unique",
-        type=int,
-        default=12,
-        help="unique queries in each burst",
-    )
-    bench_cluster.add_argument(
-        "--repeats",
-        type=int,
-        default=6,
-        help="times each unique query repeats in a scaling burst",
-    )
-    bench_cluster.add_argument(
-        "--concurrency",
-        type=int,
-        default=16,
-        help="client requests in flight at once",
-    )
-    bench_cluster.add_argument(
-        "--replica-counts",
-        default="1,2,4",
-        help="comma-separated cluster sizes to measure (default 1,2,4)",
-    )
-    bench_cluster.add_argument(
-        "--failover-requests",
-        type=int,
-        default=48,
-        help="burst length of the replica-kill phase",
-    )
-    bench_cluster.add_argument(
-        "--out",
-        default="BENCH_cluster.json",
-        help="path of the report JSON (default BENCH_cluster.json)",
-    )
-    bench_cluster.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless every cluster answer matched the "
-            "single-node baseline, a cache-tier hit served across "
-            "replicas, and the mid-burst kill lost or duplicated zero "
-            "requests; QPS scaling gates apply only on >= 4-core hosts "
-            "(CI smoke mode)"
-        ),
-    )
+    def __call__(self, args: argparse.Namespace) -> int:
+        if self.before is not None:
+            self.before(args)
+        if self.banner is not None:
+            print(self.banner(args), flush=True)
+        report = self.run(
+            self.config(
+                **{name: getattr(args, dest) for name, dest in self.fields.items()}
+            )
+        )
+        print(self.format(report))
+        path = getattr(args, self.out)
+        if path:
+            _write_json(path, self.document(report))
+            print(f"{self.noun} written to {path}")
+        if self.check is None or not args.check:
+            return 0
+        failures = self.check(report, args)
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+        if failures:
+            return 3
+        passed = self.passed
+        if not isinstance(passed, str):
+            passed = passed(report, args)
+        print(f"check passed: {passed}")
+        return 0
 
-    fig = subparsers.add_parser(
-        "fig", help="regenerate one paper figure/table"
-    )
-    fig.add_argument(
-        "artifact",
-        choices=("15", "16", "17", "policies"),
-        help="which evaluation artifact to regenerate",
-    )
-    fig.add_argument("--k", type=int, default=1)
 
-    train = subparsers.add_parser(
-        "train", help="run the offline phase and save trained state"
-    )
-    train.add_argument("output", help="path of the JSON state file to write")
-    train.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="training probe thread-pool width (1 = sequential)",
-    )
-    train.add_argument(
-        "--checkpoint",
-        default=None,
-        help="write periodic training checkpoints to this path",
-    )
-    train.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the --checkpoint file if it exists",
-    )
-    train.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=25,
-        help="queries between checkpoints (default 25)",
-    )
+def _core_reference(args: argparse.Namespace) -> None:
+    # Read the reference before the run: --out may name the file the
+    # gate diffs against, and the fresh report must not overwrite the
+    # committed numbers before they are loaded.
+    args.reference = None
+    if not args.check:
+        return
+    if os.path.exists(args.baseline):
+        args.reference = read_bench_core(args.baseline)
+    else:
+        print(
+            f"note: no reference report at {args.baseline}; "
+            "the perf diff is skipped",
+        )
 
-    bench_train = subparsers.add_parser(
-        "bench-train",
-        help="benchmark serial vs parallel ED training",
-    )
-    bench_train.add_argument(
-        "--queries",
-        type=int,
-        default=40,
-        help="training queries to probe with",
-    )
-    bench_train.add_argument(
-        "--workers", type=int, default=8, help="parallel trainer width"
-    )
-    bench_train.add_argument(
-        "--samples-per-type",
-        type=int,
-        default=20,
-        help="early-stop budget per (database, type) slice",
-    )
-    bench_train.add_argument(
-        "--latency-ms",
-        type=float,
-        default=20.0,
-        help="injected mean probe latency",
-    )
-    bench_train.add_argument(
-        "--error-rate",
-        type=float,
-        default=0.0,
-        help="injected probe failure probability",
-    )
-    bench_train.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=100.0,
-        help="per-probe deadline",
-    )
-    bench_train.add_argument(
-        "--retries", type=int, default=2, help="retries per probe"
-    )
-    bench_train.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the metrics snapshot JSON to this path",
-    )
 
-    bench_core = subparsers.add_parser(
-        "bench-core",
-        help="benchmark the per-query hot path (numpy vs python oracle)",
+def _check_core(report: dict, args: argparse.Namespace) -> list[str]:
+    validate_bench_core(report)
+    failures, warnings = check_bench_core(
+        report, args.reference, tolerance=args.tolerance
     )
-    bench_core.add_argument(
-        "--repeats",
-        type=int,
-        default=20,
-        help="timing repetitions per scenario",
-    )
-    bench_core.add_argument("--k", type=int, default=1)
-    bench_core.add_argument(
-        "--certainty",
-        type=float,
-        default=0.8,
-        help="required expected correctness for the APro scenarios",
-    )
-    bench_core.add_argument(
-        "--apro-queries",
-        type=int,
-        default=10,
-        help="queries in the APro batch and the backend agreement check",
-    )
-    bench_core.add_argument(
-        "--out",
-        default="BENCH_core.json",
-        help="path of the report JSON (default BENCH_core.json)",
-    )
-    bench_core.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless the report passes schema validation, "
-            "every agreement flag holds, and no scenario regressed beyond "
-            "--tolerance vs --baseline on matching hardware (CI gate mode)"
-        ),
-    )
-    bench_core.add_argument(
-        "--baseline",
-        default="BENCH_core.json",
-        help=(
-            "committed reference report the --check gate diffs against "
-            "(default BENCH_core.json; missing file skips the perf diff)"
-        ),
-    )
-    bench_core.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.5,
-        help=(
-            "per-scenario median regression factor the --check gate "
-            "tolerates (default 1.5)"
-        ),
-    )
+    for warning in warnings:
+        print(f"warning: {warning}")
+    return failures
 
-    bench_drift = subparsers.add_parser(
-        "bench-drift",
-        help=(
-            "replay a topic-shifting corpus: online adaptation vs. a "
-            "frozen model"
-        ),
-    )
-    bench_drift.add_argument("--k", type=int, default=3)
-    bench_drift.add_argument(
-        "--certainty",
-        type=float,
-        default=0.5,
-        help=(
-            "required expected correctness (default 0.5: the "
-            "probe-frugal regime where the model carries the answer)"
-        ),
-    )
-    bench_drift.add_argument(
-        "--queries-per-phase",
-        type=int,
-        default=60,
-        help="stream length of each phase (pre / post_early / post_late)",
-    )
-    bench_drift.add_argument(
-        "--batch", type=int, default=8, help="probes per APro round"
-    )
-    bench_drift.add_argument(
-        "--max-probes",
-        type=int,
-        default=None,
-        help="hard probe budget per query (default: none)",
-    )
-    bench_drift.add_argument(
-        "--drift-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of databases whose content shifts (default 0.5)",
-    )
-    bench_drift.add_argument(
-        "--out",
-        default="BENCH_drift.json",
-        help="path of the report JSON (default BENCH_drift.json)",
-    )
-    bench_drift.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless the document passes schema validation, "
-            "drift was detected and swapped, no request was lost, and "
-            "the adapted run recovered in post_late (CI smoke mode)"
-        ),
-    )
 
-    bench_scale = subparsers.add_parser(
-        "bench-scale",
-        help=(
-            "benchmark selection cost vs federated database count: "
-            "unpruned vs exact pruning vs top-M prefilter"
-        ),
-    )
-    bench_scale.add_argument(
-        "--sizes",
-        default="64,256,1024",
-        help="comma-separated ascending database counts (default 64,256,1024)",
-    )
-    bench_scale.add_argument("--k", type=int, default=3)
-    bench_scale.add_argument("--certainty", type=float, default=0.9)
-    bench_scale.add_argument(
-        "--queries",
-        type=int,
-        default=4,
-        help="evaluation queries per size (default 4)",
-    )
-    bench_scale.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="timing rounds per size (default 2)",
-    )
-    bench_scale.add_argument(
-        "--train-queries",
-        type=int,
-        default=60,
-        help="training queries per size (default 60)",
-    )
-    bench_scale.add_argument(
-        "--top-m",
-        type=int,
-        default=32,
-        help="databases kept by the prefilter tier (default 32)",
-    )
-    bench_scale.add_argument(
-        "--out",
-        default="BENCH_scale.json",
-        help="path of the report JSON (default BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero unless exact mode is answer-identical at "
-            "every size, topm recall clears its floor, and — on hosts "
-            "with >= 4 cores — exact-mode growth is sublinear with the "
-            "target speedup at the largest size (CI gate mode)"
-        ),
-    )
+_SERVE = Bench(
+    banner=lambda a: (
+        f"Benchmarking serving layer (scale={a.scale}, "
+        f"{a.queries} queries, {a.workers} workers)..."
+    ),
+    config=BenchServeConfig,
+    fields={
+        **TESTBED_FIELDS, "queries": "queries", "unique_queries": "unique",
+        "k": "k", "certainty": "certainty", "batch_size": "batch",
+        "workers": "workers", "mean_latency_ms": "latency_ms",
+        "error_rate": "error_rate", "timeout_ms": "timeout_ms",
+        "max_retries": "retries", "pool_workers": "pool",
+        "trace_path": "trace",
+    },
+    run=run_bench_serve,
+    format=format_bench_serve,
+    out="metrics_out",
+    noun="Metrics",
+    document=lambda report: report.metrics,
+)
 
-    bench_index = subparsers.add_parser(
-        "bench-index",
-        help=(
-            "aggregate all committed BENCH_*.json reports into one "
-            "machine-readable summary"
-        ),
-    )
-    bench_index.add_argument(
-        "--dir",
-        default=".",
-        help="directory scanned for BENCH_*.json (default: cwd)",
-    )
-    bench_index.add_argument(
-        "--out",
-        default=None,
-        help="write the summary JSON here (default: stdout only)",
-    )
-    bench_index.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "exit non-zero if any report is unreadable, carries no "
-            "recognizable schema, or records meets_target false"
-        ),
-    )
-    return parser
+_SERVE_SNAPSHOT = Bench(
+    banner=lambda a: (
+        f"Measuring serving snapshot grid (scale={a.scale}, "
+        f"{a.queries} queries, pool sizes {list(a.snapshot_pool_sizes)}, "
+        f"concurrency {list(a.snapshot_concurrency)})..."
+    ),
+    config=BenchServeSnapshotConfig,
+    fields={
+        **TESTBED_FIELDS, "queries": "queries", "unique_queries": "unique",
+        "k": "k", "certainty": "certainty", "batch_size": "batch",
+        "max_workers": "workers", "pool_sizes": "snapshot_pool_sizes",
+        "concurrency": "snapshot_concurrency",
+    },
+    run=run_bench_serve_snapshot,
+    format=format_bench_serve_snapshot,
+    check=lambda document, args: validate_bench_serve_snapshot(document),
+    passed=(
+        "schema valid, every grid cell identical to the serial "
+        "in-process baseline"
+    ),
+    out="snapshot",
+    noun="Snapshot",
+)
+
+
+# -- Handlers -------------------------------------------------------------
 
 
 def _context(args: argparse.Namespace):
@@ -871,17 +395,35 @@ def _context(args: argparse.Namespace):
     )
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
-
+def _searcher(args: argparse.Namespace):
+    """The trained metasearcher ``demo``, ``serve`` and ``gateway`` use."""
     context = _context(args)
-    searcher = Metasearcher(
-        context.mediator,
-        MetasearcherConfig(probe_batch_size=args.batch),
-        analyzer=context.analyzer,
-    )
     print("Training (offline sampling)...", flush=True)
-    searcher.train(context.train_queries)
+    return build_trained_testbed(context=context, batch_size=args.batch)[1]
+
+
+def _service(args: argparse.Namespace, searcher):
+    """The serving stack the :data:`SERVICE` and :data:`ADAPT` flags set."""
+    injector = None
+    if args.latency_ms > 0 or args.error_rate > 0:
+        injector = FaultInjector(
+            seed=args.seed,
+            mean_latency_s=args.latency_ms / 1000.0,
+            error_rate=args.error_rate,
+        )
+    config = ServiceConfig(
+        max_workers=args.workers,
+        batch_size=args.batch,
+        cache_ttl_s=args.cache_ttl if args.cache_ttl > 0 else None,
+        cache_enabled=args.cache_ttl > 0,
+        pool_workers=args.pool,
+        **{flag.dest: getattr(args, flag.dest) for flag in ADAPT},
+    )
+    return MetasearchService(searcher, config=config, injector=injector)
+
+
+def _demo(args: argparse.Namespace) -> int:
+    searcher = _searcher(args)
     answer = searcher.search(args.query, k=args.k, certainty=args.certainty)
     print(f"\nQuery     : {args.query!r}")
     print(f"Selected  : {', '.join(answer.selected)}")
@@ -892,7 +434,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig(args: argparse.Namespace) -> int:
+def _fig(args: argparse.Namespace) -> int:
     context = _context(args)
     print("Training pipeline...", flush=True)
     pipeline = train_pipeline(context)
@@ -924,48 +466,12 @@ def _read_queries(path: str | None) -> list[str]:
         return [line.strip() for line in handle if line.strip()]
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
-    from repro.service.faults import FaultInjector
-    from repro.service.server import MetasearchService, ServiceConfig
-
+def _serve(args: argparse.Namespace) -> int:
     queries = _read_queries(args.queries)
     if not queries:
         print("no queries to serve", file=sys.stderr)
         return 1
-    context = _context(args)
-    searcher = Metasearcher(
-        context.mediator,
-        MetasearcherConfig(probe_batch_size=args.batch),
-        analyzer=context.analyzer,
-    )
-    print("Training (offline sampling)...", flush=True)
-    searcher.train(context.train_queries)
-    injector = None
-    if args.latency_ms > 0 or args.error_rate > 0:
-        injector = FaultInjector(
-            seed=args.seed,
-            mean_latency_s=args.latency_ms / 1000.0,
-            error_rate=args.error_rate,
-        )
-    config = ServiceConfig(
-        max_workers=args.workers,
-        batch_size=args.batch,
-        cache_ttl_s=args.cache_ttl if args.cache_ttl > 0 else None,
-        cache_enabled=args.cache_ttl > 0,
-        pool_workers=args.pool,
-        adapt=args.adapt,
-        adapt_window=args.adapt_window,
-        adapt_check_every=args.adapt_check_every,
-        adapt_significance=args.adapt_significance,
-        adapt_min_samples=args.adapt_min_samples,
-        adapt_auto_swap=args.adapt_auto_swap,
-    )
-    with MetasearchService(
-        searcher, config=config, injector=injector
-    ) as service:
+    with _service(args, _searcher(args)) as service:
         for text in queries:
             answer = service.serve(text, k=args.k, certainty=args.certainty)
             hit = " (cache)" if answer.cache_hit else ""
@@ -977,8 +483,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         snapshot = service.snapshot()
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
+        _write_json(args.metrics_out, snapshot)
         print(f"Metrics written to {args.metrics_out}")
     else:
         print("\nmetrics:")
@@ -986,46 +491,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.gateway.gateway import GatewayConfig, MetasearchGateway
-    from repro.service.bench import build_trained_testbed
-    from repro.service.faults import FaultInjector
-    from repro.service.server import MetasearchService, ServiceConfig
-
-    print("Training (offline sampling)...", flush=True)
-    _context_unused, searcher = build_trained_testbed(
-        scale=args.scale,
-        seed=args.seed,
-        n_train=args.train_queries,
-        n_test=args.test_queries,
-        batch_size=args.batch,
-    )
-    injector = None
-    if args.latency_ms > 0 or args.error_rate > 0:
-        injector = FaultInjector(
-            seed=args.seed,
-            mean_latency_s=args.latency_ms / 1000.0,
-            error_rate=args.error_rate,
-        )
-    service = MetasearchService(
-        searcher,
-        config=ServiceConfig(
-            max_workers=args.workers,
-            batch_size=args.batch,
-            cache_ttl_s=args.cache_ttl if args.cache_ttl > 0 else None,
-            cache_enabled=args.cache_ttl > 0,
-            pool_workers=args.pool,
-            adapt=args.adapt,
-            adapt_window=args.adapt_window,
-            adapt_check_every=args.adapt_check_every,
-            adapt_significance=args.adapt_significance,
-            adapt_min_samples=args.adapt_min_samples,
-            adapt_auto_swap=args.adapt_auto_swap,
-        ),
-        injector=injector,
-    )
+def _gateway(args: argparse.Namespace) -> int:
+    service = _service(args, _searcher(args))
     gateway = MetasearchGateway(
         service,
         GatewayConfig(
@@ -1058,183 +525,26 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_gateway(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.gateway.bench import (
-        BenchGatewayConfig,
-        format_bench_gateway,
-        run_bench_gateway,
-        validate_bench_gateway,
-    )
-
-    print(
-        f"Benchmarking gateway (scale={args.scale}, "
-        f"{args.requests} coalesce requests / "
-        f"{args.shed_requests} shed requests)...",
-        flush=True,
-    )
-    report = run_bench_gateway(
-        BenchGatewayConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            workers=args.workers,
-            pool_workers=args.pool,
-            mean_latency_ms=args.latency_ms,
-            coalesce_requests=args.requests,
-            coalesce_unique=args.unique,
-            shed_requests=args.shed_requests,
-            trace_path=args.trace,
-        )
-    )
-    print(format_bench_gateway(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_gateway(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: coalescing collapsed duplicates, "
-            "overload shed cleanly"
-        )
-    return 0
-
-
-def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(
-            int(part) for part in raw.split(",") if part.strip() != ""
-        )
-    except ValueError:
-        raise ReproError(
-            f"{flag} must be a comma-separated integer list, got {raw!r}"
-        ) from None
-
-
-def _cmd_bench_serve_snapshot(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.bench import (
-        BenchServeSnapshotConfig,
-        format_bench_serve_snapshot,
-        run_bench_serve_snapshot,
-        validate_bench_serve_snapshot,
-    )
-
-    pool_sizes = _parse_int_list(
-        args.snapshot_pool_sizes, "--snapshot-pool-sizes"
-    )
-    concurrency = _parse_int_list(
-        args.snapshot_concurrency, "--snapshot-concurrency"
-    )
-    print(
-        f"Measuring serving snapshot grid (scale={args.scale}, "
-        f"{args.queries} queries, pool sizes {list(pool_sizes)}, "
-        f"concurrency {list(concurrency)})...",
-        flush=True,
-    )
-    document = run_bench_serve_snapshot(
-        BenchServeSnapshotConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            queries=args.queries,
-            unique_queries=args.unique,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            max_workers=args.workers,
-            pool_sizes=pool_sizes,
-            concurrency=concurrency,
-        )
-    )
-    print(format_bench_serve_snapshot(document))
-    with open(args.snapshot, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Snapshot written to {args.snapshot}")
-    if args.check:
-        failures = validate_bench_serve_snapshot(document)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: schema valid, every grid cell identical "
-            "to the serial in-process baseline"
-        )
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.bench import (
-        BenchServeConfig,
-        format_bench_serve,
-        run_bench_serve,
-    )
-
+def _bench_serve(args: argparse.Namespace) -> int:
     if args.snapshot is not None:
-        return _cmd_bench_serve_snapshot(args)
-    print(
-        f"Benchmarking serving layer (scale={args.scale}, "
-        f"{args.queries} queries, {args.workers} workers)...",
-        flush=True,
-    )
-    report = run_bench_serve(
-        BenchServeConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            queries=args.queries,
-            unique_queries=args.unique,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            workers=args.workers,
-            mean_latency_ms=args.latency_ms,
-            error_rate=args.error_rate,
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retries,
-            pool_workers=args.pool,
-            trace_path=args.trace,
+        return _SERVE_SNAPSHOT(args)
+    if args.check:
+        raise ConfigurationError(
+            "--check gates the snapshot grid only; add --snapshot"
         )
-    )
-    print(format_bench_serve(report))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(report.metrics, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {args.metrics_out}")
-    return 0
+    return _SERVE(args)
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
-
-    from repro.cluster import (
-        CLUSTER_REPLICAS_ENV,
-        LocalCluster,
-        ReplicaSpec,
-        RouterConfig,
-    )
-
+def _cluster(args: argparse.Namespace) -> int:
     replicas = args.replicas
     if replicas is None:
-        replicas = int(os.environ.get(CLUSTER_REPLICAS_ENV, "") or 2)
+        raw = os.environ.get(CLUSTER_REPLICAS_ENV, "").strip()
+        try:
+            replicas = int(raw) if raw else 2
+        except ValueError:
+            raise ConfigurationError(
+                f"{CLUSTER_REPLICAS_ENV} must be an integer, got {raw!r}"
+            ) from None
     spec = ReplicaSpec(
         scale=args.scale,
         seed=args.seed,
@@ -1284,63 +594,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster import (
-        BenchClusterConfig,
-        format_bench_cluster,
-        run_bench_cluster,
-        validate_bench_cluster,
-    )
-
-    counts = _parse_int_list(args.replica_counts, "--replica-counts")
-    print(
-        f"Benchmarking cluster (scale={args.scale}, replica counts "
-        f"{list(counts)}, {args.unique}x{args.repeats} requests per "
-        f"burst)...",
-        flush=True,
-    )
-    report = run_bench_cluster(
-        BenchClusterConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            unique_queries=args.unique,
-            repeats=args.repeats,
-            concurrency=args.concurrency,
-            replica_counts=counts,
-            failover_requests=args.failover_requests,
-        )
-    )
-    print(format_bench_cluster(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_cluster(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        gated = (
-            "identity, cursors, shared cache, failover, and QPS scaling"
-            if report["cpu_count"] >= 4
-            else "identity, cursors, shared cache, and failover "
-            f"(QPS gates skipped on this {report['cpu_count']}-core host)"
-        )
-        print(f"check passed: {gated}")
-    return 0
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.metasearch.metasearcher import Metasearcher, MetasearcherConfig
-
+def _train(args: argparse.Namespace) -> int:
     context = _context(args)
     searcher = Metasearcher(
         context.mediator,
@@ -1367,257 +621,601 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_train(args: argparse.Namespace) -> int:
-    import json
+# -- The command table ----------------------------------------------------
 
-    from repro.service.bench import (
-        BenchTrainConfig,
-        format_bench_train,
-        run_bench_train,
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its flags in help order, its handler."""
+
+    help: str
+    flags: tuple[Flag, ...]
+    handler: Callable[[argparse.Namespace], int]
+
+
+COMMANDS: dict[str, Command] = {
+    "demo": Command(
+        "train a metasearcher and answer one query",
+        (
+            _flag("--query", default="breast cancer chemotherapy", help="query text"),
+            K(default=3, help="databases to select"),
+            CERTAINTY(default=0.8, help="required expected correctness"),
+            BATCH(
+                default=1,
+                help="probes issued per APro round (default 1 = sequential)",
+            ),
+        ),
+        _demo,
+    ),
+    "serve": Command(
+        "serve a query stream through the concurrent serving layer",
+        (
+            _flag(
+                "queries", nargs="?", default=None,
+                help="file with one query per line (default: stdin)",
+            ),
+            K(default=3, help="databases to select"),
+            CERTAINTY(default=0.8, help="required expected correctness"),
+            *SERVICE,
+            METRICS_OUT,
+            *ADAPT,
+        ),
+        _serve,
+    ),
+    "bench-serve": Command(
+        "benchmark serial vs concurrent probe execution",
+        (
+            QUERIES(default=100, help="stream length"),
+            UNIQUE(default=60, help="unique queries in the stream"),
+            K(default=3),
+            CERTAINTY(default=0.95),
+            BATCH(default=16),
+            WORKERS(default=16, help="concurrent executor width"),
+            POOL(
+                default=0,
+                help=(
+                    "selection-pool worker processes for the concurrent leg "
+                    "(0 = in-process)"
+                ),
+            ),
+            *_faults(latency_ms=50.0, error_rate=0.02, timeout_ms=150.0),
+            METRICS_OUT,
+            TRACE(
+                help=(
+                    "trace the concurrent leg: write NDJSON span records to "
+                    "PATH and report a per-tier latency breakdown "
+                    "(see docs/OBSERVABILITY.md)"
+                ),
+            ),
+            _flag(
+                "--snapshot", nargs="?", const="BENCH_serve.json",
+                default=None, metavar="PATH",
+                help=(
+                    "instead of the serial-vs-concurrent comparison, measure "
+                    "the in-process-vs-pool grid (pool sizes x concurrency) "
+                    "and write the stable-schema snapshot JSON here "
+                    "(default BENCH_serve.json)"
+                ),
+            ),
+            _flag(
+                "--snapshot-pool-sizes", type=_int_list, default="0,1,2,4",
+                help="comma-separated pool sizes for the snapshot grid",
+            ),
+            _flag(
+                "--snapshot-concurrency", type=_int_list, default="1,4",
+                help="comma-separated client concurrency levels for the grid",
+            ),
+            CHECK(
+                help=(
+                    "with --snapshot: exit non-zero unless the document "
+                    "passes schema validation and every grid cell matched "
+                    "the serial in-process baseline (CI smoke mode)"
+                ),
+            ),
+        ),
+        _bench_serve,
+    ),
+    "gateway": Command(
+        "run the asyncio TCP gateway over a trained service",
+        (
+            HOST(help="listen address"),
+            PORT(default=7070, help="listen port (0 = ephemeral)"),
+            *SERVICE,
+            MAX_INFLIGHT(help="concurrent backend requests"),
+            MAX_QUEUE(help="admitted requests allowed to queue (beyond = shed)"),
+            _flag(
+                "--default-deadline-ms", type=float, default=None,
+                help="deadline applied to requests without their own (ms)",
+            ),
+            *ADAPT,
+        ),
+        _gateway,
+    ),
+    "bench-gateway": Command(
+        "load-test the gateway (coalescing + load shedding)",
+        (
+            K(default=3),
+            CERTAINTY(default=0.9),
+            BATCH(default=16),
+            WORKERS(default=8, help="backend executor width"),
+            POOL(default=0, help="selection-pool worker processes (0 = in-process)"),
+            LATENCY(default=25.0),
+            _flag(
+                "--requests", type=int, default=60,
+                help="requests in the coalesce burst",
+            ),
+            UNIQUE(default=6, help="unique queries in the coalesce burst"),
+            _flag(
+                "--shed-requests", type=int, default=24,
+                help="open-loop arrivals in the shed phase",
+            ),
+            OUT(default="bench_gateway.json"),
+            TRACE(
+                help=(
+                    "trace the coalesce phase: write NDJSON span records to "
+                    "PATH and report a per-tier latency breakdown "
+                    "(see docs/OBSERVABILITY.md)"
+                ),
+            ),
+            CHECK(
+                help=(
+                    "exit non-zero unless coalescing collapsed duplicates and "
+                    "overload shed cleanly (CI smoke mode)"
+                ),
+            ),
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking gateway (scale={a.scale}, {a.requests} "
+                f"coalesce requests / {a.shed_requests} shed requests)..."
+            ),
+            config=BenchGatewayConfig,
+            fields={
+                **TESTBED_FIELDS, "k": "k", "certainty": "certainty",
+                "batch_size": "batch", "workers": "workers",
+                "pool_workers": "pool", "mean_latency_ms": "latency_ms",
+                "coalesce_requests": "requests", "coalesce_unique": "unique",
+                "shed_requests": "shed_requests", "trace_path": "trace",
+            },
+            run=run_bench_gateway,
+            format=format_bench_gateway,
+            check=lambda report, args: validate_bench_gateway(report),
+            passed="coalescing collapsed duplicates, overload shed cleanly",
+        ),
+    ),
+    "cluster": Command(
+        "run N replicas behind a consistent-hash router",
+        (
+            _flag(
+                "--replicas", type=int, default=None,
+                help=(
+                    "replica processes to spawn (default reads "
+                    "REPRO_CLUSTER_REPLICAS, falling back to 2)"
+                ),
+            ),
+            HOST(help="router listen address"),
+            PORT(default=7071, help="router listen port (0 = ephemeral)"),
+            BATCH(default=16),
+            WORKERS(default=4, help="per-replica probe thread-pool width"),
+            POOL(
+                default=0,
+                help="per-replica selection-pool processes (0 = in-process)",
+            ),
+            MAX_INFLIGHT(help="per-replica concurrent backend requests"),
+            MAX_QUEUE(help="per-replica admitted queue depth (beyond = shed)"),
+            _flag(
+                "--no-cache-tier", action="store_true",
+                help="run without the shared selection-cache tier",
+            ),
+            _flag(
+                "--cache-tier-address", default=None, metavar="HOST:PORT",
+                help=(
+                    "point replicas at an externally-run cache tier instead "
+                    "of owning one"
+                ),
+            ),
+            _flag(
+                "--trace", action="store_true",
+                help=(
+                    "mint router.request root spans and serve the collected "
+                    "cross-process span trees on the router's trace op"
+                ),
+            ),
+        ),
+        _cluster,
+    ),
+    "bench-cluster": Command(
+        "benchmark cluster scaling, cache-tier sharing, cursors, and "
+        "mid-burst failover",
+        (
+            K(default=3),
+            CERTAINTY(default=0.9),
+            BATCH(default=16),
+            UNIQUE(default=12, help="unique queries in each burst"),
+            REPEATS(
+                default=6,
+                help="times each unique query repeats in a scaling burst",
+            ),
+            _flag(
+                "--concurrency", type=int, default=16,
+                help="client requests in flight at once",
+            ),
+            _flag(
+                "--replica-counts", type=_int_list, default="1,2,4",
+                help="comma-separated cluster sizes to measure (default 1,2,4)",
+            ),
+            _flag(
+                "--failover-requests", type=int, default=48,
+                help="burst length of the replica-kill phase",
+            ),
+            OUT(default="BENCH_cluster.json"),
+            CHECK(
+                help=(
+                    "exit non-zero unless every cluster answer matched the "
+                    "single-node baseline, a cache-tier hit served across "
+                    "replicas, and the mid-burst kill lost or duplicated "
+                    "zero requests; QPS scaling gates apply only on >= "
+                    "4-core hosts (CI smoke mode)"
+                ),
+            ),
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking cluster (scale={a.scale}, replica counts "
+                f"{list(a.replica_counts)}, {a.unique}x{a.repeats} requests "
+                f"per burst)..."
+            ),
+            config=BenchClusterConfig,
+            fields={
+                **TESTBED_FIELDS, "k": "k", "certainty": "certainty",
+                "batch_size": "batch", "unique_queries": "unique",
+                "repeats": "repeats", "concurrency": "concurrency",
+                "replica_counts": "replica_counts",
+                "failover_requests": "failover_requests",
+            },
+            run=run_bench_cluster,
+            format=format_bench_cluster,
+            check=lambda report, args: validate_bench_cluster(report),
+            passed=lambda report, args: (
+                "identity, cursors, shared cache, failover, and QPS scaling"
+                if report["cpu_count"] >= 4
+                else "identity, cursors, shared cache, and failover (QPS "
+                f"gates skipped on this {report['cpu_count']}-core host)"
+            ),
+        ),
+    ),
+    "fig": Command(
+        "regenerate one paper figure/table",
+        (
+            _flag(
+                "artifact", choices=("15", "16", "17", "policies"),
+                help="which evaluation artifact to regenerate",
+            ),
+            K(default=1),
+        ),
+        _fig,
+    ),
+    "train": Command(
+        "run the offline phase and save trained state",
+        (
+            _flag("output", help="path of the JSON state file to write"),
+            WORKERS(
+                default=1,
+                help="training probe thread-pool width (1 = sequential)",
+            ),
+            _flag(
+                "--checkpoint", default=None,
+                help="write periodic training checkpoints to this path",
+            ),
+            _flag(
+                "--resume", action="store_true",
+                help="resume from the --checkpoint file if it exists",
+            ),
+            _flag(
+                "--checkpoint-every", type=int, default=25,
+                help="queries between checkpoints (default 25)",
+            ),
+        ),
+        _train,
+    ),
+    "bench-train": Command(
+        "benchmark serial vs parallel ED training",
+        (
+            QUERIES(default=40, help="training queries to probe with"),
+            WORKERS(default=8, help="parallel trainer width"),
+            _flag(
+                "--samples-per-type", type=int, default=20,
+                help="early-stop budget per (database, type) slice",
+            ),
+            *_faults(latency_ms=20.0, error_rate=0.0, timeout_ms=100.0),
+            METRICS_OUT,
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking ED training (scale={a.scale}, "
+                f"{a.queries} queries, {a.workers} workers)..."
+            ),
+            config=BenchTrainConfig,
+            fields={
+                **TESTBED_FIELDS, "train_queries": "queries",
+                "workers": "workers", "samples_per_type": "samples_per_type",
+                "mean_latency_ms": "latency_ms", "error_rate": "error_rate",
+                "timeout_ms": "timeout_ms", "max_retries": "retries",
+            },
+            run=run_bench_train,
+            format=format_bench_train,
+            out="metrics_out",
+            noun="Metrics",
+            document=lambda report: report.metrics,
+        ),
+    ),
+    "bench-core": Command(
+        "benchmark the per-query hot path (numpy vs python oracle)",
+        (
+            REPEATS(default=20, help="timing repetitions per scenario"),
+            K(default=1),
+            CERTAINTY(
+                default=0.8,
+                help="required expected correctness for the APro scenarios",
+            ),
+            _flag(
+                "--apro-queries", type=int, default=10,
+                help="queries in the APro batch and the backend agreement check",
+            ),
+            OUT(default="BENCH_core.json"),
+            CHECK(
+                help=(
+                    "exit non-zero unless the report passes schema "
+                    "validation, every agreement flag holds, and no scenario "
+                    "regressed beyond --tolerance vs --baseline on matching "
+                    "hardware (CI gate mode)"
+                ),
+            ),
+            _flag(
+                "--baseline", default="BENCH_core.json",
+                help=(
+                    "committed reference report the --check gate diffs "
+                    "against (default BENCH_core.json; missing file skips "
+                    "the perf diff)"
+                ),
+            ),
+            _flag(
+                "--tolerance", type=float, default=1.5,
+                help=(
+                    "per-scenario median regression factor the --check gate "
+                    "tolerates (default 1.5)"
+                ),
+            ),
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking core hot path (scale={a.scale}, k={a.k}, "
+                f"t={a.certainty}, {a.repeats} repeats)..."
+            ),
+            config=BenchCoreConfig,
+            fields={
+                **TESTBED_FIELDS, "repeats": "repeats", "k": "k",
+                "threshold": "certainty", "apro_queries": "apro_queries",
+            },
+            run=run_bench_core,
+            format=format_bench_core,
+            check=_check_core,
+            passed=lambda report, args: "schema valid, agreement holds" + (
+                "" if args.reference is None else ", no gated perf regression"
+            ),
+            before=_core_reference,
+        ),
+    ),
+    "bench-drift": Command(
+        "replay a topic-shifting corpus: online adaptation vs. a frozen model",
+        (
+            K(default=3),
+            CERTAINTY(
+                default=0.5,
+                help=(
+                    "required expected correctness (default 0.5: the "
+                    "probe-frugal regime where the model carries the answer)"
+                ),
+            ),
+            _flag(
+                "--queries-per-phase", type=int, default=60,
+                help="stream length of each phase (pre / post_early / post_late)",
+            ),
+            BATCH(default=8),
+            _flag(
+                "--max-probes", type=int, default=None,
+                help="hard probe budget per query (default: none)",
+            ),
+            _flag(
+                "--drift-fraction", type=float, default=0.5,
+                help="fraction of databases whose content shifts (default 0.5)",
+            ),
+            OUT(default="BENCH_drift.json"),
+            CHECK(
+                help=(
+                    "exit non-zero unless the document passes schema "
+                    "validation, drift was detected and swapped, no request "
+                    "was lost, and the adapted run recovered in post_late "
+                    "(CI smoke mode)"
+                ),
+            ),
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking drift adaptation (scale={a.scale}, "
+                f"{a.queries_per_phase} queries/phase, "
+                f"drift fraction {a.drift_fraction})..."
+            ),
+            config=BenchDriftConfig,
+            fields={
+                **TESTBED_FIELDS, "queries_per_phase": "queries_per_phase",
+                "k": "k", "certainty": "certainty", "batch_size": "batch",
+                "max_probes": "max_probes", "drift_fraction": "drift_fraction",
+            },
+            run=run_bench_drift,
+            format=format_bench_drift,
+            check=lambda document, args: validate_bench_drift(document),
+            passed=(
+                "drift detected, model swapped, no request lost, "
+                "adaptation recovered in post_late"
+            ),
+        ),
+    ),
+    "bench-scale": Command(
+        "benchmark selection cost vs federated database count: unpruned vs "
+        "exact pruning vs top-M prefilter",
+        (
+            _flag(
+                "--sizes", type=_int_list, default="64,256,1024",
+                help="comma-separated ascending database counts (default 64,256,1024)",
+            ),
+            K(default=3),
+            CERTAINTY(default=0.9),
+            QUERIES(default=4, help="evaluation queries per size (default 4)"),
+            REPEATS(default=2, help="timing rounds per size (default 2)"),
+            TRAIN_QUERIES(default=60, help="training queries per size (default 60)"),
+            _flag(
+                "--top-m", type=int, default=32,
+                help="databases kept by the prefilter tier (default 32)",
+            ),
+            OUT(default="BENCH_scale.json"),
+            CHECK(
+                help=(
+                    "exit non-zero unless exact mode is answer-identical at "
+                    "every size, topm recall clears its floor, and — on "
+                    "hosts with >= 4 cores — exact-mode growth is sublinear "
+                    "with the target speedup at the largest size (CI gate "
+                    "mode)"
+                ),
+            ),
+        ),
+        Bench(
+            banner=lambda a: (
+                f"Benchmarking selection at scale (sizes={list(a.sizes)}, "
+                f"k={a.k}, t={a.certainty}, top_m={a.top_m})..."
+            ),
+            config=BenchScaleConfig,
+            fields={
+                "sizes": "sizes", "seed": "seed", "n_train": "train_queries",
+                "queries": "queries", "repeats": "repeats", "k": "k",
+                "certainty": "certainty", "top_m": "top_m",
+            },
+            run=run_bench_scale,
+            format=format_bench_scale,
+            check=lambda report, args: check_bench_scale(report),
+            passed=lambda report, args: (
+                "exact mode answer-identical at every size, topm recall "
+                "above floor"
+                + (
+                    ", wall-clock gates met"
+                    if report["gates"]["meets_target"]
+                    else " (wall-clock gates not judged on this host)"
+                )
+            ),
+        ),
+    ),
+    "bench-index": Command(
+        "aggregate all committed BENCH_*.json reports into one "
+        "machine-readable summary",
+        (
+            _flag(
+                "--dir", default=".",
+                help="directory scanned for BENCH_*.json (default: cwd)",
+            ),
+            OUT(
+                default=None,
+                help="write the summary JSON here (default: stdout only)",
+            ),
+            CHECK(
+                help=(
+                    "exit non-zero if any report is unreadable, carries no "
+                    "recognizable schema, or records meets_target false"
+                ),
+            ),
+        ),
+        Bench(
+            banner=None,
+            fields={"directory": "dir"},
+            run=lambda config: build_bench_index(**config),
+            format=format_bench_index,
+            check=lambda index, args: check_bench_index(index),
+            passed=lambda index, args: (
+                f"{len(index['reports'])} report(s) indexed, "
+                "no recorded target failures"
+            ),
+            noun="Index",
+        ),
+    ),
+}
+
+
+# -- The interpreter ------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Fills the testbed flags in after parsing.
+
+    They are parsed with default ``None`` so that a value given before
+    the command is told apart from none; a command that spells one of
+    them after its name, as ``bench-scale --train-queries`` does, gets
+    it under its own dest, so the two can never overwrite each other.
+    """
+
+    testbed: dict[str, dict[str, Any]]
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        for dest, default in self.testbed[parsed.command].items():
+            local = vars(parsed).pop(f"local_{dest}", None)
+            value = getattr(parsed, dest)
+            if local is not None and value is not None:
+                self.error(
+                    f"--{dest.replace('_', '-')} is given both before and "
+                    f"after {parsed.command}"
+                )
+            value = local if local is not None else value
+            setattr(parsed, dest, default if value is None else value)
+        return parsed, extras
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-metasearch`` argument parser, built from :data:`COMMANDS`."""
+    parser = _Parser(
+        prog="repro-metasearch",
+        description=(
+            "Probabilistic metasearching with adaptive probing "
+            "(ICDE 2004 reproduction)"
+        ),
     )
-
-    print(
-        f"Benchmarking ED training (scale={args.scale}, "
-        f"{args.queries} queries, {args.workers} workers)...",
-        flush=True,
+    testbed = {flag.dest: flag.kwargs["default"] for flag in TESTBED}
+    for flag in TESTBED:
+        parser.add_argument(flag.name, **{**flag.kwargs, "default": None})
+    parser.testbed = {}
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
     )
-    report = run_bench_train(
-        BenchTrainConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            train_queries=args.queries,
-            workers=args.workers,
-            samples_per_type=args.samples_per_type,
-            mean_latency_ms=args.latency_ms,
-            error_rate=args.error_rate,
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retries,
-        )
-    )
-    print(format_bench_train(report))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(report.metrics, handle, indent=2, sort_keys=True)
-        print(f"Metrics written to {args.metrics_out}")
-    return 0
-
-
-def _cmd_bench_core(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.experiments.bench_core import (
-        BenchCoreConfig,
-        check_bench_core,
-        format_bench_core,
-        read_bench_core,
-        run_bench_core,
-        validate_bench_core,
-    )
-
-    # Read the reference up front: --out may point at the same file the
-    # gate diffs against, and the fresh report must not overwrite the
-    # committed numbers before they are loaded.
-    reference = None
-    if args.check:
-        if os.path.exists(args.baseline):
-            reference = read_bench_core(args.baseline)
-        else:
-            print(
-                f"note: no reference report at {args.baseline}; "
-                "the perf diff is skipped",
-            )
-    print(
-        f"Benchmarking core hot path (scale={args.scale}, "
-        f"k={args.k}, t={args.certainty}, {args.repeats} repeats)...",
-        flush=True,
-    )
-    report = run_bench_core(
-        BenchCoreConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            repeats=args.repeats,
-            k=args.k,
-            threshold=args.certainty,
-            apro_queries=args.apro_queries,
-        )
-    )
-    print(format_bench_core(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        validate_bench_core(report)
-        failures, warnings = check_bench_core(
-            report, reference, tolerance=args.tolerance
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: schema valid, agreement holds"
-            + ("" if reference is None else ", no gated perf regression")
-        )
-    return 0
-
-
-def _cmd_bench_drift(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.adapt.bench import (
-        BenchDriftConfig,
-        format_bench_drift,
-        run_bench_drift,
-        validate_bench_drift,
-    )
-
-    print(
-        f"Benchmarking drift adaptation (scale={args.scale}, "
-        f"{args.queries_per_phase} queries/phase, "
-        f"drift fraction {args.drift_fraction})...",
-        flush=True,
-    )
-    document = run_bench_drift(
-        BenchDriftConfig(
-            scale=args.scale,
-            seed=args.seed,
-            n_train=args.train_queries,
-            n_test=args.test_queries,
-            queries_per_phase=args.queries_per_phase,
-            k=args.k,
-            certainty=args.certainty,
-            batch_size=args.batch,
-            max_probes=args.max_probes,
-            drift_fraction=args.drift_fraction,
-        )
-    )
-    print(format_bench_drift(document))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = validate_bench_drift(document)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: drift detected, model swapped, no request "
-            "lost, adaptation recovered in post_late"
-        )
-    return 0
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench_scale import (
-        BenchScaleConfig,
-        check_bench_scale,
-        format_bench_scale,
-        run_bench_scale,
-    )
-
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    print(
-        f"Benchmarking selection at scale (sizes={list(sizes)}, "
-        f"k={args.k}, t={args.certainty}, top_m={args.top_m})...",
-        flush=True,
-    )
-    report = run_bench_scale(
-        BenchScaleConfig(
-            sizes=sizes,
-            seed=args.seed,
-            n_train=args.train_queries,
-            queries=args.queries,
-            repeats=args.repeats,
-            k=args.k,
-            certainty=args.certainty,
-            top_m=args.top_m,
-        )
-    )
-    print(format_bench_scale(report))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"Report written to {args.out}")
-    if args.check:
-        failures = check_bench_scale(report)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            "check passed: exact mode answer-identical at every size, "
-            "topm recall above floor"
-            + (
-                ", wall-clock gates met"
-                if report["gates"]["meets_target"]
-                else " (wall-clock gates not judged on this host)"
-            )
-        )
-    return 0
-
-
-def _cmd_bench_index(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.bench_index import (
-        build_bench_index,
-        check_bench_index,
-        format_bench_index,
-    )
-
-    index = build_bench_index(args.dir)
-    print(format_bench_index(index))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(index, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"Index written to {args.out}")
-    if args.check:
-        failures = check_bench_index(index)
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return 3
-        print(
-            f"check passed: {len(index['reports'])} report(s) indexed, "
-            "no recorded target failures"
-        )
-    return 0
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        defaults = dict(testbed)
+        for flag in command.flags:
+            kwargs = dict(flag.kwargs)
+            if flag.dest in testbed:
+                defaults[flag.dest] = kwargs["default"]
+                kwargs.update(
+                    dest=f"local_{flag.dest}",
+                    metavar=flag.dest.upper(),
+                    default=None,
+                )
+            sub.add_argument(flag.name, **kwargs)
+        parser.testbed[name] = defaults
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "demo": _cmd_demo,
-        "fig": _cmd_fig,
-        "train": _cmd_train,
-        "serve": _cmd_serve,
-        "gateway": _cmd_gateway,
-        "bench-serve": _cmd_bench_serve,
-        "bench-train": _cmd_bench_train,
-        "bench-core": _cmd_bench_core,
-        "bench-gateway": _cmd_bench_gateway,
-        "bench-drift": _cmd_bench_drift,
-        "cluster": _cmd_cluster,
-        "bench-cluster": _cmd_bench_cluster,
-        "bench-scale": _cmd_bench_scale,
-        "bench-index": _cmd_bench_index,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command].handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

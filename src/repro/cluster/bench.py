@@ -38,6 +38,7 @@ from repro.exceptions import ConfigurationError
 from repro.gateway.client import GatewayClient
 from repro.service.bench import build_trained_testbed
 from repro.service.server import MetasearchService, ServiceConfig
+from repro.stats import latency_summary
 from repro.cluster.cluster import LocalCluster
 from repro.cluster.replica import ReplicaSpec
 from repro.cluster.router import RouterConfig
@@ -101,24 +102,6 @@ class BenchClusterConfig:
             n_test=self.n_test,
             batch_size=self.batch_size,
         )
-
-
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _latency_summary(wall_ms: list[float]) -> dict[str, object]:
-    if not wall_ms:
-        return {"samples": 0}
-    ordered = sorted(wall_ms)
-    return {
-        "samples": len(ordered),
-        "p50_ms": round(_percentile(ordered, 50.0), 3),
-        "p95_ms": round(_percentile(ordered, 95.0), 3),
-        "p99_ms": round(_percentile(ordered, 99.0), 3),
-        "max_ms": round(ordered[-1], 3),
-    }
 
 
 def _baseline(config: BenchClusterConfig) -> tuple[list[str], dict]:
@@ -236,7 +219,7 @@ async def _scaling_run(
             "mismatches": mismatches[:10],
             "mismatch_count": len(mismatches),
         },
-        "latency": _latency_summary(wall_ms),
+        "latency": latency_summary(wall_ms),
     }
 
 

@@ -25,7 +25,7 @@ __all__ = ["LocalCluster", "CLUSTER_REPLICAS_ENV"]
 
 #: Env knob: default replica count for the ``cluster`` CLI command and
 #: anything else that builds a :class:`LocalCluster` without an
-#: explicit count: ``REPRO_CLUSTER_REPLICAS=4 python -m repro cluster``.
+#: explicit count: ``REPRO_CLUSTER_REPLICAS=4 python -m repro.cli cluster``.
 CLUSTER_REPLICAS_ENV = "REPRO_CLUSTER_REPLICAS"
 
 

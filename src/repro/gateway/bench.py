@@ -44,6 +44,7 @@ from repro.service.bench import build_trained_testbed
 from repro.service.faults import FaultInjector
 from repro.service.resilience import RetryPolicy
 from repro.service.server import MetasearchService, ServiceConfig
+from repro.stats import latency_summary
 
 __all__ = [
     "BenchGatewayConfig",
@@ -92,24 +93,6 @@ class BenchGatewayConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.pool_workers < 0:
             raise ConfigurationError("pool_workers must be >= 0")
-
-
-def _percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _latency_summary(wall_ms: list[float]) -> dict[str, float]:
-    if not wall_ms:
-        return {"samples": 0}
-    ordered = sorted(wall_ms)
-    return {
-        "samples": len(ordered),
-        "p50_ms": round(_percentile(ordered, 50.0), 3),
-        "p95_ms": round(_percentile(ordered, 95.0), 3),
-        "p99_ms": round(_percentile(ordered, 99.0), 3),
-        "max_ms": round(ordered[-1], 3),
-    }
 
 
 def _service(
@@ -201,7 +184,7 @@ async def _coalesce_phase(
         "gateway_coalesced_counter": int(
             snapshot["counters"]["gateway_coalesced"]
         ),
-        "latency": _latency_summary(wall_ms),
+        "latency": latency_summary(wall_ms),
     }
 
 
@@ -281,7 +264,7 @@ async def _shed_phase(
         "gateway_shed_counter": int(snapshot["counters"]["gateway_shed"]),
         "leaked_tasks": leaked,
         "clean_drain": leaked == 0 and not unexpected,
-        "latency": _latency_summary(wall_ms),
+        "latency": latency_summary(wall_ms),
     }
 
 

@@ -47,6 +47,7 @@ from repro.service.server import (
     ServiceConfig,
 )
 from repro.service.training import ParallelEDTrainer
+from repro.stats import percentile
 from repro.summaries.builder import ExactSummaryBuilder
 from repro.summaries.estimators import TermIndependenceEstimator
 from repro.types import Query
@@ -471,11 +472,6 @@ def _replay_concurrent(
     return answers, latencies, wall_s  # type: ignore[return-value]
 
 
-def _latency_percentile(ordered: list[float], pct: float) -> float:
-    rank = max(1, round(pct / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def _identical_answers(
     answers: list[ServedAnswer], baseline: list[ServedAnswer]
 ) -> bool:
@@ -542,12 +538,8 @@ def run_bench_serve_snapshot(
                         if wall_s > 0
                         else None,
                         "latency_ms": {
-                            "p50": round(
-                                _latency_percentile(ordered, 50.0), 3
-                            ),
-                            "p95": round(
-                                _latency_percentile(ordered, 95.0), 3
-                            ),
+                            "p50": round(percentile(ordered, 50.0), 3),
+                            "p95": round(percentile(ordered, 95.0), 3),
                         },
                         "identical_to_baseline": _identical_answers(
                             answers, baseline

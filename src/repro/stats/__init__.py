@@ -1,4 +1,4 @@
-"""Statistics substrate: distributions, histograms, chi-square testing.
+"""Statistics substrate: distributions, histograms, percentiles, chi-square testing.
 
 Everything here is implemented from first principles (the incomplete
 gamma function backing the chi-square tail is written out, not imported),
@@ -7,7 +7,7 @@ with scipy used only in the test suite as an oracle.
 
 from repro.stats.chisquare import ChiSquareResult, pearson_chi2_test
 from repro.stats.distribution import DiscreteDistribution
-from repro.stats.histogram import Histogram
+from repro.stats.histogram import Histogram, latency_summary, percentile
 from repro.stats.special import chi2_sf, regularized_gamma_p, regularized_gamma_q
 
 __all__ = [
@@ -15,6 +15,8 @@ __all__ = [
     "DiscreteDistribution",
     "Histogram",
     "chi2_sf",
+    "latency_summary",
+    "percentile",
     "pearson_chi2_test",
     "regularized_gamma_p",
     "regularized_gamma_q",

@@ -1,4 +1,4 @@
-"""Histograms: binned views of real-valued samples.
+"""Histograms and rank summaries of real-valued samples.
 
 Error distributions are "histogram-type" distributions (paper Fig. 4):
 samples are assigned to fixed bins; each bin carries its count and the
@@ -15,7 +15,27 @@ import numpy as np
 from repro.exceptions import DistributionError
 from repro.stats.distribution import DiscreteDistribution
 
-__all__ = ["Histogram"]
+__all__ = ["Histogram", "latency_summary", "percentile"]
+
+
+def percentile(ordered: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile of an already sorted, non-empty series."""
+    rank = max(1, round(pct / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+def latency_summary(wall_ms: Iterable[float]) -> dict[str, float]:
+    """Count, nearest-rank p50/p95/p99 and max of latencies, in ms."""
+    ordered = sorted(wall_ms)
+    if not ordered:
+        return {"samples": 0}
+    return {
+        "samples": len(ordered),
+        "p50_ms": round(percentile(ordered, 50.0), 3),
+        "p95_ms": round(percentile(ordered, 95.0), 3),
+        "p99_ms": round(percentile(ordered, 99.0), 3),
+        "max_ms": round(ordered[-1], 3),
+    }
 
 
 class Histogram:

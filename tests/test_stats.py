@@ -10,7 +10,7 @@ from scipy import special as scipy_special
 from repro.exceptions import DistributionError
 from repro.stats.chisquare import pearson_chi2_test
 from repro.stats.distribution import DiscreteDistribution
-from repro.stats.histogram import Histogram
+from repro.stats.histogram import Histogram, latency_summary, percentile
 from repro.stats.special import chi2_sf, regularized_gamma_p, regularized_gamma_q
 
 
@@ -175,6 +175,35 @@ class TestHistogram:
             Histogram([1.0])
         with pytest.raises(DistributionError):
             Histogram([1.0, 1.0])
+
+
+class TestPercentile:
+    @pytest.mark.parametrize(
+        "series, pct, expected",
+        [
+            ([7.0], 50.0, 7.0),
+            ([7.0], 99.0, 7.0),
+            ([30.0, 50.0], 50.0, 30.0),
+            ([30.0, 50.0], 95.0, 50.0),
+            ([1.0, 2.0, 3.0, 4.0], 50.0, 2.0),
+            ([1.0, 2.0, 3.0, 4.0], 90.0, 4.0),
+            ([float(i) for i in range(1, 101)], 95.0, 95.0),
+            ([float(i) for i in range(1, 101)], 99.0, 99.0),
+            ([float(i) for i in range(1, 101)], 0.0, 1.0),
+        ],
+    )
+    def test_nearest_rank(self, series, pct, expected):
+        assert percentile(series, pct) == expected
+
+    def test_latency_summary(self):
+        assert latency_summary([]) == {"samples": 0}
+        assert latency_summary([3.00049, 1.0, 2.0]) == {
+            "samples": 3,
+            "p50_ms": 2.0,
+            "p95_ms": 3.0,
+            "p99_ms": 3.0,
+            "max_ms": 3.0,
+        }
 
 
 class TestPearsonChi2:
