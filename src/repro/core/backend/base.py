@@ -4,8 +4,9 @@
 their *orchestration* (memoization, collapse bookkeeping, answer-set
 search) backend-independent and delegate the numeric kernels — outrank
 matrix construction, the Poisson-binomial DP chains, the leave-one-out
-convolution, the override membership fold, the collapse column update
-and batched RD derivation — to an :class:`ArrayBackend`.
+convolution, the override membership fold, the candidate-set
+probabilities, the collapse column update and batched RD derivation —
+to an :class:`ArrayBackend`.
 
 Two implementations ship in-tree:
 
@@ -29,7 +30,10 @@ with certainty values agreeing to an absolute tolerance of ``1e-9`` —
 the same contract the incremental-collapse path satisfies against the
 rebuild path. Kernels are free to reassociate floating-point reductions
 within that tolerance; they are not free to change tie-breaking, atom
-ordering, or support layouts.
+ordering, or support layouts. The one exception is
+:meth:`ArrayBackend.set_probabilities`, whose canonical order is part of
+the contract: answer-set search compares those values under a 1e-15
+tie rule, so they must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +124,43 @@ class ArrayBackend(abc.ABC):
         ``P[count <= k-1]`` per atom after folding in the impulse.
         """
 
+    @abc.abstractmethod
+    def set_probabilities(
+        self,
+        greater: np.ndarray,
+        less: np.ndarray,
+        probs: np.ndarray,
+        dbs: np.ndarray,
+        ranks: np.ndarray,
+        bounds: np.ndarray,
+        sets: np.ndarray,
+        overridden: np.ndarray,
+        rows: np.ndarray,
+        outcomes: np.ndarray,
+    ) -> np.ndarray:
+        """``P[S = top-k]`` for many (candidate set, outcome) pairs.
+
+        ``greater``/``less`` are the outrank matrices, ``probs``,
+        ``dbs`` and ``ranks`` the flat atom layout and ``bounds`` the
+        ``(n + 1,)`` atom-span bounds (database j owns atoms
+        ``bounds[j]:bounds[j + 1]``). ``sets`` is an ``(R, k)`` array of
+        ascending member indices and ``overridden`` the database each
+        row's outcomes collapse (-1: no override). Pair p evaluates set
+        ``sets[rows[p]]`` with that database collapsed onto its atom
+        ``outcomes[p]`` (a hypothetical probe outcome; ignored without
+        an override). Returns shape ``(P,)``; pairs that share a row
+        share its product over the other databases.
+
+        Canonical arithmetic, which every backend reproduces bit for
+        bit: set S's value sums, in ascending atom order over the
+        member spans only, ``w_t · Π_j f_j(t)`` — the product runs
+        over rows j ascending, with ``f_j(t) = 1`` for t's own database,
+        ``greater[j, t]`` for the other members and ``less[j, t]`` for
+        non-members, and ``w_t = probs[t]``. Under an override, the
+        collapsed database's row is the impulse's 0/1 indicator row and
+        the weights of its atoms are 1 on the outcome atom and 0
+        elsewhere. The sum starts at 0.0 and is clipped to ``[0, 1]``.
+        """
     @abc.abstractmethod
     def collapse_column(
         self,

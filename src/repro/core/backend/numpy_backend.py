@@ -16,6 +16,10 @@ practice):
   same multiplication sequence as the per-database fold.
 * The k = 1 leave-one-out combine and override fold reduce to single
   elementwise products, matching the oracle's loop bodies term for term.
+* ``set_probabilities`` multiplies a set's factors along the database
+  axis (a multiply reduction runs in index order) and sums its terms
+  with ``cumsum`` (strictly left to right), so every pair's value is the
+  oracle's loop result bit for bit, as the kernel contract requires.
 * Only the k > 1 einsum combine reassociates sums (over at most k ≤ n
   unit-bounded terms), which is where the ≤1e-9 tolerance actually
   earns its keep.
@@ -109,6 +113,117 @@ class NumpyBackend(PythonBackend):
         if k == 1:
             return dp_loo[..., 0] * (1.0 - g)
         return super().override_membership(dp_loo, g, k)
+
+    #: Element budget of one chunk of set rows: the gathered (databases
+    #: × rows × member atoms) factor tensor stays below it, and the
+    #: (pairs × member atoms) arrays of one pair slice below a quarter
+    #: of it, so peak memory is bounded however many sets a search
+    #: evaluates — and stays small per thread when serve threads
+    #: search concurrently.
+    _SET_CHUNK_ELEMENTS = 16_384
+
+    def set_probabilities(
+        self,
+        greater,
+        less,
+        probs,
+        dbs,
+        ranks,
+        bounds,
+        sets,
+        overridden,
+        rows,
+        outcomes,
+    ):
+        n, m = greater.shape
+        # An atom's own database is a member: its factor is a neutral
+        # 1.0 taken from this copy of the greater matrix.
+        greater = greater.copy()
+        greater[dbs, np.arange(m)] = 1.0
+        # Rows are laid out as their members' atoms only, the spans
+        # concatenated, and processed narrowest first so a chunk pads
+        # little: a pad slot points at an atom with weight 0, and adding
+        # 0.0 leaves the sum exact.
+        lengths = (bounds[1:] - bounds[:-1])[sets]  # (R, k)
+        ends = np.cumsum(lengths, axis=1)
+        by_width = np.argsort(ends[:, -1], kind="stable")
+        position_of = np.empty(len(sets), dtype=np.intp)
+        position_of[by_width] = np.arange(len(sets))
+        # Pairs are streamed in the same order, a chunk of rows at a time.
+        order = np.argsort(position_of[rows], kind="stable")
+        sorted_positions = position_of[rows[order]]
+        widths = ends[by_width, -1].tolist()
+        capacity = self._SET_CHUNK_ELEMENTS // n
+        out = np.empty(len(rows), dtype=np.float64)
+        lo = 0
+        while lo < len(sets):
+            # The widest row of a chunk is its last; shrink until the
+            # chunk fits the budget (or holds a single row).
+            hi = min(len(sets), lo + max(1, capacity // widths[lo]))
+            while hi - lo > 1 and (hi - lo) * widths[hi - 1] > capacity:
+                hi = lo + max(1, capacity // widths[hi - 1])
+            picked_rows = by_width[lo:hi]
+            first, last = np.searchsorted(sorted_positions, (lo, hi))
+            self._set_chunk(
+                greater, less, probs, ranks, bounds, sets[picked_rows],
+                lengths[picked_rows], ends[picked_rows],
+                overridden[picked_rows], position_of[rows[order[first:last]]] - lo,
+                outcomes[order[first:last]], out, order[first:last],
+            )
+            lo = hi
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    def _set_chunk(
+        self, greater, less, probs, ranks, bounds, sets, lengths, ends,
+        overridden, local_rows, chosen, out, targets,
+    ):
+        count, k = sets.shape
+        width = int(ends[:, -1].max())
+        slots = np.arange(width)
+        member = (slots[None, None, :] >= ends[:, :, None]).sum(axis=1)
+        live = member < k
+        member = np.minimum(member, k - 1)
+        owner = np.take_along_axis(sets, member, axis=1)  # (rows, A)
+        begin = np.take_along_axis(ends - lengths, member, axis=1)
+        atoms = np.where(live, bounds[owner] + slots - begin, bounds[owner])
+        everyone = np.arange(count)
+        # Non-members' rows read the less matrix, members' the greater.
+        factors = less[:, atoms]  # (n, rows, A)
+        factors[sets.T, everyone] = greater[sets.T[:, :, None], atoms[None]]
+        # The collapsed database's row is the impulse's 0/1 indicator,
+        # so it is left out of the row product (factor 1.0) and applied
+        # per outcome as a term filter: multiplying a running product by
+        # 1.0 is exact and by 0.0 zeroes it, so no bit changes.
+        overriding = np.flatnonzero(overridden >= 0)
+        factors[overridden[overriding], overriding] = 1.0
+        own = (owner == overridden[:, None]) & live
+        contrib = np.where(own, 1.0, np.where(live, probs[atoms], 0.0))
+        contrib *= factors.prod(axis=0)  # (rows, A)
+        del factors
+        # Database i's own atoms survive iff they are the outcome, with
+        # weight 1; another member's atom survives iff the outcome
+        # outranks it (i a member) or ranks below it (i outside) — one
+        # compare of sign · rank. Without an override every term
+        # survives.
+        inside = (sets == overridden[:, None]).any(axis=1)
+        sign = np.where(inside, 1.0, -1.0)
+        keys = np.where(own | ~live, np.inf, sign[:, None] * ranks[atoms])
+        keys[overridden < 0] = -np.inf
+        own_atoms = np.where(own, atoms, -1)
+        # Each pair slice gathers several (pairs × A) arrays at once.
+        step = max(1, self._SET_CHUNK_ELEMENTS // (4 * width))
+        for start in range(0, len(local_rows), step):
+            part = local_rows[start : start + step]
+            outcome = chosen[start : start + step]
+            signed = np.where(
+                overridden[part] >= 0, sign[part] * ranks[outcome], 0.0
+            )
+            survives = signed[:, None] > keys[part]
+            survives |= own_atoms[part] == outcome[:, None]
+            terms = contrib[part]
+            terms[~survives] = 0.0
+            np.cumsum(terms, axis=1, out=terms)
+            out[targets[start : start + step]] = terms[:, -1]
 
     def collapse_column(
         self,

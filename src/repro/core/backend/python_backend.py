@@ -93,6 +93,59 @@ class PythonBackend(ArrayBackend):
         keep[..., 1:] += dp_loo[..., :-1] * p
         return keep.sum(axis=-1)
 
+    def set_probabilities(
+        self,
+        greater,
+        less,
+        probs,
+        dbs,
+        ranks,
+        bounds,
+        sets,
+        overridden,
+        rows,
+        outcomes,
+    ):
+        # Pair by pair, in the canonical order the contract spells out:
+        # the reference the batched kernels match. Consecutive pairs of
+        # one row reuse its gathered factors.
+        n = greater.shape[0]
+        out = np.empty(len(rows), dtype=np.float64)
+        current = -1
+        for p, (r, t0) in enumerate(zip(rows.tolist(), outcomes.tolist())):
+            if r != current:
+                current = r
+                members = sets[r].tolist()
+                i = int(overridden[r])
+                atoms = np.concatenate(
+                    [np.arange(bounds[j], bounds[j + 1]) for j in members]
+                )
+                inside = np.zeros(n, dtype=bool)
+                inside[members] = True
+                gathered = np.where(
+                    inside[:, None], greater[:, atoms], less[:, atoms]
+                )
+                own = dbs[atoms]
+            factors = gathered.copy()
+            weights = probs[atoms].copy()
+            if i >= 0:
+                outranks = (
+                    ranks[t0] > ranks[atoms]
+                    if inside[i]
+                    else ranks[t0] < ranks[atoms]
+                )
+                factors[i] = outranks.astype(np.float64)
+                weights[own == i] = 0.0
+                weights[atoms == t0] = 1.0
+            factors[own, np.arange(len(atoms))] = 1.0
+            total = 0.0
+            for weight, product in zip(
+                weights.tolist(), factors.prod(axis=0).tolist()
+            ):
+                total += weight * product
+            out[p] = min(1.0, max(0.0, total))
+        return out
+
     def collapse_column(
         self,
         rank0,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import inspect
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import comb
 from typing import Protocol, runtime_checkable
 
 from repro.core.backend import ArrayBackend
@@ -469,21 +468,12 @@ class APro:
     ) -> TopKComputer:
         """A :class:`TopKComputer` over the survivor sub-list.
 
-        ``exact_set_limit`` is pinned so the restricted ``best_set``
-        takes the same exhaustive-vs-hill-climb branch the full-width
-        computer would have: exhaustive iff ``comb(n_full, k)`` fits
-        the default budget (then ``comb(n_sub, k)`` fits it too), the
-        hill climb otherwise. This keeps the two paths' tie-breaking
-        identical instead of letting the branch flip with the survivor
-        count.
+        The answer-set search is exact, so the restricted computer finds
+        the same set as the full-width one: every set holding a pruned
+        database has probability 0, and the survivors keep their
+        mediation order.
         """
-        limit = 400 if comb(len(rds), k) <= 400 else 0
-        return TopKComputer(
-            [rds[g] for g in sub],
-            k,
-            exact_set_limit=limit,
-            backend=self._backend,
-        )
+        return TopKComputer([rds[g] for g in sub], k, backend=self._backend)
 
     @staticmethod
     def _recheck_certificate(

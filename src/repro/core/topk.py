@@ -10,7 +10,9 @@ the questions the paper's framework needs (§3.3, §5.1):
   E[Cor_a(S)] (Eq. 5);
 * E[Cor_p(S)] — the expected **partial** correctness (Eq. 6), which
   equals the mean of the members' marginals by linearity;
-* the answer set maximizing either expectation.
+* the answer set maximizing either expectation — for the absolute
+  metric an exact branch-and-bound over candidate sets (see
+  :meth:`TopKComputer.best_set`).
 
 Tie handling. True relevancies are discrete (match counts), so ties are
 real. We impose the same strict total order used by the golden standard:
@@ -24,8 +26,9 @@ expected correctness be if database i turned out to have relevancy v?"
 for every support atom v. All entry points accept an ``override=(i, t)``
 pair (database i collapsed onto its atom t) and reuse the precomputed
 rank structure; :meth:`TopKComputer.conditional_best_scores` evaluates
-every atom of a candidate database in one vectorized pass via a
-leave-one-out dynamic program (see docs/PERFORMANCE.md).
+every atom of a candidate database in one batched pass — a leave-one-out
+dynamic program for the marginals and one set-probability kernel call
+for the absolute answer-set search (see docs/PERFORMANCE.md).
 
 Observed probing. :meth:`TopKComputer.collapse` turns an observation
 into a new computer *incrementally*: the atom ordering, outrank
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import enum
 from itertools import combinations
-from math import comb
 from collections.abc import Sequence
 
 import numpy as np
@@ -67,12 +69,6 @@ class TopKComputer:
     k:
         Number of databases to select (1 <= k <= n; k = n is legal and
         trivially certain).
-    exact_set_limit:
-        ``best_set`` enumerates all C(n, k) candidate sets exhaustively
-        when their count is at most this; beyond it, a marginal-ranked
-        hill-climbing search is used.
-    swap_width:
-        Size of the non-member pool considered by the hill climber.
     backend:
         Numeric backend executing the array kernels: a registry name
         (``"numpy"``, ``"python"``), an
@@ -80,14 +76,18 @@ class TopKComputer:
         for the process default (``REPRO_BACKEND``, defaulting to the
         tensor engine). All backends produce identical answer sets and
         probe orders with certainty deltas ≤1e-9.
+
+    The answer set :meth:`best_set` returns for the absolute metric is
+    always the exhaustive optimum over all C(n, k) candidate sets, under
+    the exhaustive scan's tie rule; the search reaches it by exact
+    branch-and-bound instead of enumerating every set (see
+    :meth:`best_set`).
     """
 
     def __init__(
         self,
         rds: Sequence[DiscreteDistribution],
         k: int,
-        exact_set_limit: int = 400,
-        swap_width: int = 4,
         backend: "str | ArrayBackend | None" = None,
     ) -> None:
         n = len(rds)
@@ -98,37 +98,19 @@ class TopKComputer:
         self._rds = list(rds)
         self._n = n
         self._k = k
-        self._exact_set_limit = exact_set_limit
-        self._swap_width = max(1, swap_width)
         self._backend = get_backend(backend)
         self._build_atoms()
-        # Pure-function index structures keyed by candidate set; they
-        # depend only on the atom layout, which :meth:`collapse`
-        # preserves, so collapsed computers share this dict.
-        self._subset_memo: dict[
-            tuple[int, ...],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
         self._init_memos()
 
     def _init_memos(self) -> None:
         # Per-instance memos (instances are not thread-safe, like most
         # of numpy-backed Python; the serving layer builds one per query
         # in the APro thread). RDs are fixed per instance, so every
-        # query below is a pure function of its arguments: probability
-        # and answer-set results are cached outright. APro's batch
-        # rounds re-ask best_set for the same overrides once per pick,
-        # and the hill climber re-tries sets across improvement passes.
-        self._prob_memo: dict[tuple, float] = {}
+        # query below is a pure function of its arguments: marginals and
+        # answer-set results are cached outright. APro's batch rounds
+        # re-ask best_set for the same overrides once per pick.
         self._marginals_memo: dict[tuple[int, int] | None, np.ndarray] = {}
         self._best_set_memo: dict[tuple, tuple[tuple[int, ...], float]] = {}
-        # Override rows: for hypothetical probe (i, t0), the replacement
-        # outrank rows of database i. A dict (not a single slot), so the
-        # interleaved A→B→A access pattern of batched usefulness never
-        # recomputes or returns stale rows.
-        self._override_rows_memo: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray]
-        ] = {}
         # Prefix/suffix Poisson-binomial DP tables and derived
         # leave-one-out / batched-override products (see marginals()).
         # The DP chains are (n+1, m, k) stacks produced by the backend.
@@ -153,6 +135,7 @@ class TopKComputer:
         m = len(values)
         # Concatenation order gives every database a contiguous atom span.
         bounds = np.concatenate(([0], np.cumsum(counts)))
+        self._db_atom_bounds = bounds
         self._db_atom_start = bounds[:-1]
         self._db_atom_stop = bounds[1:]
         # Strict total order: ascending value; on equal value the later
@@ -273,16 +256,14 @@ class TopKComputer:
         new._rds[i] = DiscreteDistribution.impulse(value)
         new._n = self._n
         new._k = self._k
-        new._exact_set_limit = self._exact_set_limit
-        new._swap_width = self._swap_width
         new._backend = self._backend
         new._num_atoms = self._num_atoms
         # Layout is shared verbatim: spans and atom→database mapping
         # never change under collapse.
+        new._db_atom_bounds = self._db_atom_bounds
         new._db_atom_start = self._db_atom_start
         new._db_atom_stop = self._db_atom_stop
         new._atom_dbs = self._atom_dbs
-        new._subset_memo = self._subset_memo
 
         # Locate the observed value in the database's *reported* support
         # (a previous collapse shrinks it to the impulse atom; its
@@ -361,14 +342,8 @@ class TopKComputer:
 
         new._init_memos()
         if migrated is not None:
-            # Rank structure unchanged → override rows computed on self
-            # are identical on the collapsed computer.
-            new._override_rows_memo = self._override_rows_memo
             # Results conditioned on the observed outcome ARE the
             # collapsed computer's unconditioned results.
-            for (subset_key, ov), prob in self._prob_memo.items():
-                if ov == migrated:
-                    new._prob_memo[(subset_key, None)] = prob
             cached_marginals = self._marginals_memo.get(migrated)
             if cached_marginals is not None:
                 new._marginals_memo[None] = cached_marginals
@@ -421,29 +396,6 @@ class TopKComputer:
             raise SelectionError(
                 f"override atom {t0} does not belong to database {i}"
             )
-
-    def _override_rows(
-        self, override: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(greater_row, less_row) of the overridden database.
-
-        ``override=(i, t0)`` collapses database i onto its support atom
-        t0 (a hypothetical probe outcome); only row i of the outrank
-        matrices differs from the base state, so only that row is ever
-        materialized. Rows are cached per (i, t0) — interleaved access
-        across different overrides never invalidates earlier entries.
-        """
-        cached = self._override_rows_memo.get(override)
-        if cached is not None:
-            return cached
-        i, t0 = override
-        rank0 = self._atom_ranks[t0]
-        g_row = (rank0 > self._atom_ranks).astype(np.float64)
-        g_row[self._db_atom_start[i] : self._db_atom_stop[i]] = 0.0
-        l_row = (rank0 < self._atom_ranks).astype(np.float64)
-        rows = (g_row, l_row)
-        self._override_rows_memo[override] = rows
-        return rows
 
     # -- Poisson-binomial DP tables ---------------------------------------------
 
@@ -628,12 +580,11 @@ class TopKComputer:
         the j-th triple of :meth:`atoms_of` — what greedy usefulness
         averages. For the partial metric and for k = 1 every atom is
         evaluated in one vectorized pass over the shared leave-one-out
-        DP; for the absolute metric with k > 1 the answer-set search
-        runs per atom (each search still reuses the batched marginals
-        and the override-row cache). Atoms with probability below
-        *min_prob* are skipped in the per-atom path and their entries
-        are 0.0 — callers that skip negligible mass pass their own
-        threshold.
+        DP; for the absolute metric with k > 1 one batched answer-set
+        search covers every outcome at once (:meth:`_best_absolute`).
+        Atoms with probability below *min_prob* are skipped by that
+        search and their entries are 0.0 — callers that skip
+        negligible mass pass their own threshold.
         """
         if not 0 <= database < self._n:
             raise SelectionError(f"database {database} out of range")
@@ -645,12 +596,15 @@ class TopKComputer:
             start = int(self._db_atom_start[database])
             offsets = np.asarray([t - start for t, _v, _p in triples])
             return scores_span[offsets].copy()
+        wanted = [
+            (j, (metric, (database, t)))
+            for j, (t, _value, prob) in enumerate(triples)
+            if prob >= min_prob
+        ]
+        self._fill_best_absolute([key for _j, key in wanted])
         scores = np.zeros(len(triples))
-        for j, (t, _value, prob) in enumerate(triples):
-            if prob < min_prob:
-                continue
-            _best, score = self.best_set(metric, override=(database, t))
-            scores[j] = score
+        for j, key in wanted:
+            scores[j] = self._best_set_memo[key][1]
         return scores
 
     def _span_scores(
@@ -712,17 +666,16 @@ class TopKComputer:
         GreedyUsefulnessPolicy` computes per candidate: the expectation
         over database i's atoms of the best post-probe expected
         correctness, with atoms of probability below *negligible*
-        contributing their probability alone. Returns ``None`` when no
-        whole-sweep path exists — on a non-vectorized backend, or for
-        the absolute metric with 1 < k < n (per-atom answer-set search) —
-        in which case callers fall back to the per-database route.
-        Zero-mass atoms of collapsed databases contribute exactly 0
-        either way, so the sweep matches the per-database accumulation
-        float for float.
+        contributing their probability alone. Returns ``None`` on a
+        non-vectorized backend, where callers fall back to the
+        per-database route. For the absolute metric with 1 < k < n the
+        answer-set search runs once for every outcome of every database
+        (:meth:`_best_absolute`), and its results fill the same memo the
+        per-database route reads, so both routes score every outcome
+        identically. Zero-mass atoms of collapsed databases contribute
+        exactly 0 either way.
         """
         if not self._backend.vectorized:
-            return None
-        if metric is CorrectnessMetric.ABSOLUTE and 1 < self._k < self._n:
             return None
         key = (metric, float(negligible))
         cached = self._sweep_memo.get(key)
@@ -730,8 +683,11 @@ class TopKComputer:
             if self._k >= self._n:
                 cached = np.ones(self._n)
             else:
-                scores_all = self._all_span_scores(metric)
                 probs = self._atom_probs
+                if metric is CorrectnessMetric.ABSOLUTE and self._k > 1:
+                    scores_all = self._all_absolute_scores(negligible)
+                else:
+                    scores_all = self._all_span_scores(metric)
                 contrib = np.where(
                     probs < negligible, probs, probs * scores_all
                 )
@@ -752,70 +708,53 @@ class TopKComputer:
         The event "subset is exactly the top-k" happens iff every member
         outranks every non-member. Partitioning on the *weakest member's*
         atom t: every other member must outrank t and every non-member
-        must rank below t. An override substitutes a single gathered row
-        — the base matrices are never copied.
+        must rank below t. A one-set call of the set-probability kernel
+        (:meth:`~repro.core.backend.ArrayBackend.set_probabilities`).
         """
         members = self._validated_subset(subset)
         if len(members) == self._n:
             return 1.0
-        key = tuple(sorted(members))
-        result = self._prob_memo.get((key, override))
-        if result is not None:
-            return result
         if override is not None:
             self._validate_override(override)
-        memo = self._subset_memo.get(key)
-        if memo is None:
-            # Member atoms occupy contiguous spans, so the candidate
-            # atom index list is a cheap concatenation (ascending, as
-            # the key is sorted) instead of an isin() scan over all
-            # atoms. Zero-probability atoms (an overridden member's
-            # off-outcome atoms) are kept: their terms are exactly 0.
-            atom_idx = np.concatenate(
-                [
-                    np.arange(self._db_atom_start[i], self._db_atom_stop[i])
-                    for i in key
-                ]
-            )
-            member_rows = np.asarray(key)[:, None]
-            row_of = np.empty(self._n, dtype=np.intp)
-            row_of[np.asarray(key)] = np.arange(self._k)
-            own_rows = row_of[self._atom_dbs[atom_idx]]
-            outside_rows = np.asarray(
-                [j for j in range(self._n) if j not in members]
-            )[:, None]
-            cols = np.arange(len(atom_idx))
-            memo = (atom_idx, member_rows, own_rows, outside_rows, cols)
-            self._subset_memo[key] = memo
-        atom_idx, member_rows, own_rows, outside_rows, cols = memo
+        database, atom = (-1, -1) if override is None else override
+        return float(
+            self._pair_values(
+                np.asarray([sorted(members)]),
+                np.asarray([database]),
+                np.asarray([atom]),
+            )[0]
+        )
 
-        overridden_member = override is not None and override[0] in members
-        inside = self._greater[member_rows, atom_idx[None, :]]
-        if overridden_member:
-            g_row, _l_row = self._override_rows(override)
-            inside[key.index(override[0])] = g_row[atom_idx]
-        # Each atom's own database is pre-masked to 0 in ``greater``;
-        # neutralize it to 1 so it drops out of the member product.
-        inside[own_rows, cols] = 1.0
-        inside_prod = inside.prod(axis=0)
-        if len(outside_rows):
-            outside = self._less[outside_rows, atom_idx[None, :]]
-            if override is not None and not overridden_member:
-                _g_row, l_row = self._override_rows(override)
-                position = int(np.searchsorted(outside_rows[:, 0], override[0]))
-                outside[position] = l_row[atom_idx]
-            outside_prod = outside.prod(axis=0)
-        else:
-            outside_prod = np.ones(len(atom_idx))
-        probs = self._atom_probs[atom_idx]
-        if overridden_member:
-            i, t0 = override
-            probs[self._atom_dbs[atom_idx] == i] = 0.0
-            probs[int(np.nonzero(atom_idx == t0)[0][0])] = 1.0
-        total = float((probs * inside_prod * outside_prod).sum())
-        result = min(1.0, max(0.0, total))
-        self._prob_memo[(key, override)] = result
-        return result
+    def _pair_values(
+        self, sets: np.ndarray, owners: np.ndarray, outcomes: np.ndarray
+    ) -> np.ndarray:
+        """(P,) probabilities of (set, outcome) pairs, one per row of *sets*.
+
+        Pair p is ``sets[p]`` with database ``owners[p]`` collapsed onto
+        atom ``outcomes[p]`` (-1: no override). Pairs repeating a (set,
+        database) share one kernel row, so outcomes of one database pay
+        for each set's product over the other databases once.
+        """
+        table = np.column_stack((owners, sets))
+        order = np.lexsort(table.T[::-1])
+        ordered = table[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        rows = np.empty(len(order), dtype=np.intp)
+        rows[order] = np.cumsum(fresh) - 1
+        first = order[fresh]
+        return self._backend.set_probabilities(
+            self._greater,
+            self._less,
+            self._atom_probs,
+            self._atom_dbs,
+            self._atom_ranks,
+            self._db_atom_bounds,
+            sets[first],
+            owners[first],
+            rows,
+            outcomes,
+        )
 
     def expected_correctness(
         self,
@@ -857,9 +796,9 @@ class TopKComputer:
 
         For the partial metric the optimum is exactly the k databases
         with the largest marginals (E[Cor_p] is their mean, by linearity
-        of expectation). For the absolute metric every C(n, k) set is
-        enumerated when feasible; otherwise a marginal-seeded
-        hill-climbing swap search is used (see DESIGN.md).
+        of expectation). For the absolute metric the result is the
+        exhaustive optimum over all C(n, k) sets, found by exact
+        branch-and-bound (:meth:`_best_absolute`).
         """
         if self._k == self._n:
             return tuple(range(self._n)), 1.0
@@ -867,58 +806,179 @@ class TopKComputer:
         cached = self._best_set_memo.get(memo_key)
         if cached is not None:
             return cached
-        marginals = self.marginals(override)
-        ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
         if metric is CorrectnessMetric.PARTIAL or self._k == 1:
+            marginals = self.marginals(override)
+            ranked = sorted(range(self._n), key=lambda i: (-marginals[i], i))
             # For k = 1 the marginal IS the set probability, so the
             # partial-optimal singleton is also the absolute optimum.
             chosen = tuple(sorted(ranked[: self._k]))
             result = chosen, min(1.0, float(np.mean([marginals[i] for i in chosen])))
-        elif comb(self._n, self._k) <= self._exact_set_limit:
-            result = self._best_absolute_exact(override)
+        elif override is None:
+            result = self._best_absolute(None)[0]
         else:
-            result = self._best_absolute_hillclimb(ranked, override)
+            self._validate_override(override)
+            result = self._best_absolute(np.asarray([override[1]]))[0]
         self._best_set_memo[memo_key] = result
         return result
 
-    def _best_absolute_exact(
-        self, override: tuple[int, int] | None
-    ) -> tuple[tuple[int, ...], float]:
-        best_set: tuple[int, ...] = tuple(range(self._k))
-        best_value = -1.0
-        for candidate in combinations(range(self._n), self._k):
-            value = self.prob_set_is_topk(candidate, override)
-            if value > best_value + 1e-15:
-                best_set, best_value = candidate, value
-        return best_set, max(0.0, best_value)
+    def _fill_best_absolute(self, keys: list[tuple]) -> None:
+        """Run one answer-set search for every memo key not yet cached.
 
-    def _best_absolute_hillclimb(
-        self,
-        ranked: list[int],
-        override: tuple[int, int] | None,
-    ) -> tuple[tuple[int, ...], float]:
-        current = set(ranked[: self._k])
-        pool = ranked[self._k : self._k + self._swap_width]
-        current_value = self.prob_set_is_topk(sorted(current), override)
-        improved = True
-        while improved:
-            improved = False
-            for member in sorted(current):
-                for candidate in pool:
-                    if candidate in current:
-                        continue
-                    trial = (current - {member}) | {candidate}
-                    value = self.prob_set_is_topk(sorted(trial), override)
-                    if value > current_value + 1e-12:
-                        current, current_value = trial, value
-                        improved = True
-                        break
-                if improved:
-                    break
-        return tuple(sorted(current)), current_value
+        Keys are ``(ABSOLUTE, (database, atom))``, the memo keys of
+        :meth:`best_set` under an override.
+        """
+        pending = [key for key in keys if key not in self._best_set_memo]
+        if pending:
+            outcomes = np.asarray([key[1][1] for key in pending])
+            for key, result in zip(pending, self._best_absolute(outcomes)):
+                self._best_set_memo[key] = result
+
+    def _all_absolute_scores(self, negligible: float) -> np.ndarray:
+        """Absolute best-set value under every atom's override, (m,).
+
+        Atoms below *negligible* are skipped (their entry is 0.0) — the
+        sweep counts their probability alone.
+        """
+        metric = CorrectnessMetric.ABSOLUTE
+        atoms = np.flatnonzero(self._atom_probs >= negligible).tolist()
+        keys = [
+            (metric, (database, atom))
+            for database, atom in zip(self._atom_dbs[atoms].tolist(), atoms)
+        ]
+        self._fill_best_absolute(keys)
+        scores = np.zeros(self._num_atoms)
+        scores[atoms] = [self._best_set_memo[key][1] for key in keys]
+        return scores
+
+    #: Float slack on the bound P[S = top-k] <= min over i in S of
+    #: P[i in top-k]: the marginal DP and the set kernel round
+    #: differently, so a database is excluded only when its marginal
+    #: falls below the incumbent's value by more than this.
+    _BOUND_SLACK = 1e-9
+
+    #: (set, outcome) pairs per kernel call of the second search round;
+    #: bounds the index arrays a wide, flat belief state builds.
+    _PAIRS_PER_CALL = 2_048
+
+    def _best_absolute(
+        self, outcomes: np.ndarray | None
+    ) -> list[tuple[tuple[int, ...], float]]:
+        """Exhaustive-optimal absolute answer set per hypothetical outcome.
+
+        One result per atom of *outcomes* (its database collapsed onto
+        it; any mix of databases), or a single unconditioned result for
+        ``None``.
+
+        Branch-and-bound. The incumbent is each outcome's
+        top-k-by-marginals set, all outcomes evaluated in one kernel
+        call. Since P[S = top-k] <= min over i in S of P[i in top-k], a
+        set holding a database whose marginal is below the incumbent's
+        value cannot beat it, so the second round evaluates only the
+        sets drawn from the databases that clear it — per database, the
+        union over its outcomes, evaluated under each of them — and only
+        for outcomes where a database besides the incumbent's members
+        clears it. Each outcome's sets are scanned in ``combinations``
+        order. Every skipped set is worth less than the incumbent by
+        more than the slack, far beyond the 1e-15 tie margin, so the
+        scan returns exactly the exhaustive scan's set.
+        """
+        k = self._k
+        if outcomes is None:
+            marginals = self.marginals()[None, :]
+            outcomes = np.asarray([-1])
+            owners = outcomes
+        else:
+            owners = self._atom_dbs[outcomes]
+            marginals = self._outcome_marginals(outcomes, owners)
+        # Stable sort: equal marginals rank the earlier database first.
+        order = np.argsort(-marginals, axis=1, kind="stable")
+        incumbents = np.sort(order[:, :k], axis=1)
+        floor = self._pair_values(incumbents, owners, outcomes)
+        results = [
+            (tuple(members), max(0.0, value))
+            for members, value in zip(incumbents.tolist(), floor.tolist())
+        ]
+        # The incumbent's own members always clear its value.
+        admitted = marginals >= (floor - self._BOUND_SLACK)[:, None]
+        redo = np.flatnonzero(admitted.sum(axis=1) > k)
+        blocks = []
+        for owner in sorted(set(owners[redo].tolist())):
+            group = redo[owners[redo] == owner]
+            allowed = admitted[group]
+            pool = np.flatnonzero(allowed.any(axis=0)).tolist()
+            sets = np.asarray(list(combinations(pool, k)), dtype=np.intp)
+            blocks.append((group, sets[allowed[:, sets].all(axis=2).any(axis=0)]))
+        while blocks:
+            batch = [blocks.pop()]
+            size = len(batch[0][0]) * len(batch[0][1])
+            while blocks and size + len(blocks[-1][0]) * len(blocks[-1][1]) <= (
+                self._PAIRS_PER_CALL
+            ):
+                size += len(blocks[-1][0]) * len(blocks[-1][1])
+                batch.append(blocks.pop())
+            values = self._pair_values(
+                np.concatenate(
+                    [np.tile(sets, (len(group), 1)) for group, sets in batch]
+                ),
+                np.concatenate(
+                    [np.repeat(owners[group], len(sets)) for group, sets in batch]
+                ),
+                np.concatenate(
+                    [np.repeat(outcomes[group], len(sets)) for group, sets in batch]
+                ),
+            )
+            offset = 0
+            for group, sets in batch:
+                block = values[offset : offset + len(group) * len(sets)]
+                offset += len(block)
+                scanned = _scan_best(sets, block.reshape(len(group), len(sets)))
+                for index, result in zip(group.tolist(), scanned):
+                    results[index] = result
+        return results
+
+    def _outcome_marginals(
+        self, outcomes: np.ndarray, owners: np.ndarray
+    ) -> np.ndarray:
+        """Marginals under each outcome's override, one row per outcome."""
+        if self._num_atoms * self._num_atoms * self._k <= self._BATCH_ALL_LIMIT:
+            if self._batch_all is None:
+                self._override_batch_all()
+            return self._batch_all[outcomes]
+        rows = np.empty((len(outcomes), self._n))
+        for owner in sorted(set(owners.tolist())):
+            mine = owners == owner
+            start = int(self._db_atom_start[owner])
+            rows[mine] = self._override_marginals_all(owner)[outcomes[mine] - start]
+        return rows
 
     def __repr__(self) -> str:
         return (
             f"TopKComputer(n={self._n}, k={self._k}, "
             f"atoms={self._num_atoms})"
         )
+
+
+def _scan_best(
+    sets: np.ndarray, values: np.ndarray
+) -> list[tuple[tuple[int, ...], float]]:
+    """What the exhaustive scan keeps, per row of *values* over *sets*.
+
+    The scan keeps the first set and replaces it only on an improvement
+    above 1e-15. When no other set comes within 2e-15 of a row's maximum
+    the scan ends on the first maximum, so the argmax answers; the rare
+    near-tied row runs the scan itself.
+    """
+    top = values.argmax(axis=1)
+    peak = values[np.arange(len(values)), top]
+    clear = np.count_nonzero(values >= (peak - 2e-15)[:, None], axis=1) == 1
+    results = []
+    for row, index, value, alone in zip(
+        values, top.tolist(), peak.tolist(), clear.tolist()
+    ):
+        if not alone:
+            index, value = 0, -1.0
+            for position, candidate in enumerate(row.tolist()):
+                if candidate > value + 1e-15:
+                    index, value = position, candidate
+        results.append((tuple(sets[index].tolist()), max(0.0, value)))
+    return results

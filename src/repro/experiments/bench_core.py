@@ -3,12 +3,13 @@
 Measures the core operations a deployment pays for on every uncached
 query — RD construction, ``best_set`` for k=1/k=3, ``marginals``, a
 full greedy usefulness sweep, and an end-to-end APro batch over the
-first ``apro_queries`` test queries — on the paper testbed, and writes
+first ``apro_queries`` test queries, at the configured k and at the
+k = 3 the servers run (absolute metric) — on the paper testbed, and writes
 the result as ``BENCH_core.json`` so the perf trajectory is tracked
 in-repo (see docs/PERFORMANCE.md).
 
-The two stages the optimization work targets (usefulness sweep, APro
-run) are measured as **two variants**:
+The stages the optimization work targets (usefulness sweep, APro run at
+the configured k and at k = 3) are measured as **two variants**:
 
 * ``baseline`` — the ``python`` backend, the row-wise reference oracle
   every other numeric path is pinned to (docs/PERFORMANCE.md, "The
@@ -26,12 +27,13 @@ instead of skewing a ratio of independent medians.
 
 The agreement block doubles as an end-to-end correctness check — the
 tensor backend must match the ``python`` oracle on probe orders, answer
-sets, and certainties to 1e-9 — and :func:`check_bench_core` turns a
-committed report into a CI perf-regression gate: agreement violations
-are hard failures everywhere, while timing regressions are hard
-failures only when the report and the reference were produced on the
-same host with the same benchmark configuration (and soft warnings
-otherwise, since absolute timings do not transfer across machines).
+sets, and certainties to 1e-9, at the configured k and at k = 3 — and
+:func:`check_bench_core` turns a committed report into a CI
+perf-regression gate: agreement violations are hard failures
+everywhere, while timing regressions are hard failures only when the
+report and the reference were produced on the same host with the same
+benchmark configuration (and soft warnings otherwise, since absolute
+timings do not transfer across machines).
 
 Timing scenarios mirror ``benchmarks/bench_micro_core.py`` (the
 pytest-benchmark variant of the same hot path) without requiring
@@ -73,7 +75,11 @@ BENCH_CORE_SCHEMA = "bench-core/v3"
 
 #: Scenario names every report must contain.
 _SHARED_SCENARIOS = ("rd_build", "best_set_k1", "best_set_k3", "marginals_k3")
-_COMPARED_SCENARIOS = ("usefulness_sweep", "apro_run")
+_COMPARED_SCENARIOS = ("usefulness_sweep", "apro_run", "apro_run_k3")
+
+#: The answer-set size the servers run: ``apro_run_k3`` and the agreement
+#: check cover it whatever the configured k.
+_SERVED_K = 3
 
 #: Timed variants of each compared scenario, in round-robin order, and
 #: the numeric backend each runs on.
@@ -205,15 +211,15 @@ def _collect_environment() -> dict[str, object]:
 
 
 def _trajectory_agreement(
-    fast: APro, slow: APro, queries, config: BenchCoreConfig
+    fast: APro, slow: APro, queries, k: int, threshold: float
 ) -> tuple[bool, bool, float]:
     """(identical probe orders, identical answer sets, max certainty Δ)."""
     identical_probe_orders = True
     identical_answer_sets = True
     max_certainty_delta = 0.0
     for query in queries:
-        a = fast.run(query, k=config.k, threshold=config.threshold)
-        b = slow.run(query, k=config.k, threshold=config.threshold)
+        a = fast.run(query, k=k, threshold=threshold)
+        b = slow.run(query, k=k, threshold=threshold)
         if [(r.index, r.observed) for r in a.records] != [
             (r.index, r.observed) for r in b.records
         ]:
@@ -231,17 +237,21 @@ def _trajectory_agreement(
 
 
 def _agreement(
-    selector, queries, config: BenchCoreConfig
+    selector, queries, config: BenchCoreConfig, ks: list[int]
 ) -> dict[str, object]:
-    """Backend-vs-oracle trajectory check."""
-    orders, sets, delta = _trajectory_agreement(
-        APro(selector, backend="numpy"),
-        APro(selector, backend="python"),
-        queries,
-        config,
-    )
+    """Backend-vs-oracle trajectory check; every flag covers all *ks*."""
+    fast = APro(selector, backend="numpy")
+    slow = APro(selector, backend="python")
+    orders, sets, delta = True, True, 0.0
+    for k in ks:
+        k_orders, k_sets, k_delta = _trajectory_agreement(
+            fast, slow, queries, k, config.threshold
+        )
+        orders, sets = orders and k_orders, sets and k_sets
+        delta = max(delta, k_delta)
     return {
         "queries": len(queries),
+        "k_values": ks,
         "backend_identical_probe_orders": orders,
         "backend_identical_answer_sets": sets,
         "backend_max_certainty_delta": float(delta),
@@ -315,7 +325,7 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         "repeat_order": list(_VARIANTS),
     }
 
-    def apro_batch(runner: APro) -> None:
+    def apro_batch(runner: APro, k: int) -> None:
         # A batch over the first ``apro_queries`` test queries, not a
         # single cherry-picked one: per-query round counts vary a lot
         # (some queries satisfy the threshold from the prior, others
@@ -323,26 +333,28 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         # would dominate whichever way it leans. The batch is the
         # workload a deployment actually pays for.
         for query in apro_queries:
-            runner.run(query, k=config.k, threshold=config.threshold)
+            runner.run(query, k=k, threshold=config.threshold)
 
     runners = {
         name: APro(selector, backend=backend)
         for name, backend in _VARIANT_BACKENDS.items()
     }
-    apro_times, apro_samples = _timeit_interleaved(
-        {
-            name: (lambda runner=runner: apro_batch(runner))
-            for name, runner in runners.items()
-        },
-        max(1, repeats // 2),
-    )
-    scenarios["apro_run"] = {
-        **apro_times,
-        "speedup_backend_median": _paired_speedup(
-            apro_samples, "baseline", "backend"
-        ),
-        "repeat_order": list(_VARIANTS),
-    }
+    served_k = min(_SERVED_K, n)
+    for scenario, k in (("apro_run", config.k), ("apro_run_k3", served_k)):
+        apro_times, apro_samples = _timeit_interleaved(
+            {
+                name: (lambda runner=runner, k=k: apro_batch(runner, k))
+                for name, runner in runners.items()
+            },
+            max(1, repeats // 2),
+        )
+        scenarios[scenario] = {
+            **apro_times,
+            "speedup_backend_median": _paired_speedup(
+                apro_samples, "baseline", "backend"
+            ),
+            "repeat_order": list(_VARIANTS),
+        }
 
     report: dict[str, object] = {
         "schema": BENCH_CORE_SCHEMA,
@@ -359,7 +371,9 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         },
         "environment": _collect_environment(),
         "scenarios": scenarios,
-        "agreement": _agreement(selector, apro_queries, config),
+        "agreement": _agreement(
+            selector, apro_queries, config, sorted({config.k, served_k})
+        ),
     }
     return report
 
@@ -397,6 +411,11 @@ def validate_bench_core(report: dict[str, object]) -> None:
         agreement
     ):
         raise ReproError("report has no complete agreement section")
+    config = report.get("config")
+    databases = config.get("databases") if isinstance(config, dict) else None
+    served_k = min(_SERVED_K, databases or _SERVED_K)
+    if served_k not in agreement.get("k_values", []):
+        raise ReproError(f"agreement does not cover k = {served_k}")
     environment = report.get("environment")
     if not isinstance(environment, dict) or not {
         "numpy",
@@ -577,6 +596,7 @@ def format_bench_core(report: dict[str, object]) -> str:
         f"{agreement['backend_matches_python']} "
         f"(max certainty delta "
         f"{agreement['backend_max_certainty_delta']:.2e} "
-        f"over {agreement['queries']} queries)"
+        f"over {agreement['queries']} queries, "
+        f"k = {', '.join(str(k) for k in agreement['k_values'])})"
     )
     return "\n".join(lines)

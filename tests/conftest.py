@@ -177,13 +177,7 @@ def rebuild_on_collapse(monkeypatch):
         calls[0] += 1
         rds = [self.rd(i) for i in range(self.num_databases)]
         rds[database] = DiscreteDistribution.impulse(float(value))
-        return TopKComputer(
-            rds,
-            self.k,
-            exact_set_limit=self._exact_set_limit,
-            swap_width=self._swap_width,
-            backend=self.backend_name,
-        )
+        return TopKComputer(rds, self.k, backend=self.backend_name)
 
     monkeypatch.setattr(TopKComputer, "collapse", rebuild)
     return calls

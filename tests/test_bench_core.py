@@ -61,9 +61,11 @@ def make_report(host="host-a", sweep_speedup=2.0, **config):
             "marginals_k3": _timing(0.6),
             "usefulness_sweep": _compared(1.0 * sweep_speedup, 1.0),
             "apro_run": _compared(40.0, 20.0),
+            "apro_run_k3": _compared(60.0, 20.0),
         },
         "agreement": {
             "queries": 10,
+            "k_values": [1, 3],
             "backend_identical_probe_orders": True,
             "backend_identical_answer_sets": True,
             "backend_max_certainty_delta": 0.0,
@@ -87,6 +89,18 @@ class TestValidate:
         report = make_report()
         del report["scenarios"]["apro_run"]["baseline"]
         with pytest.raises(ReproError, match="apro_run"):
+            validate_bench_core(report)
+
+    def test_rejects_missing_k3_scenario(self):
+        report = make_report()
+        del report["scenarios"]["apro_run_k3"]
+        with pytest.raises(ReproError, match="apro_run_k3"):
+            validate_bench_core(report)
+
+    def test_rejects_agreement_without_k3(self):
+        report = make_report()
+        report["agreement"]["k_values"] = [1]
+        with pytest.raises(ReproError, match="k = 3"):
             validate_bench_core(report)
 
     def test_rejects_missing_agreement_flag(self):
@@ -193,10 +207,12 @@ def test_small_run_is_valid_and_agrees():
     )
     validate_bench_core(report)
     assert check_bench_core(report, None) == ([], [])
-    assert set(report["scenarios"]["apro_run"]) == {
-        "baseline",
-        "backend",
-        "speedup_backend_median",
-        "repeat_order",
-    }
+    for scenario in ("apro_run", "apro_run_k3"):
+        assert set(report["scenarios"][scenario]) == {
+            "baseline",
+            "backend",
+            "speedup_backend_median",
+            "repeat_order",
+        }
+    assert report["agreement"]["k_values"] == [1, 3]
     assert "backend==python      : True" in format_bench_core(report)

@@ -155,26 +155,61 @@ class TestBasicProperties:
         with pytest.raises(SelectionError):
             computer.prob_set_is_topk([0], override=(0, atom_of_db1))
 
-    def test_exhaustive_vs_hillclimb(self):
+    def test_best_set_equals_exhaustive(self):
+        # C(15, 3) = 455 candidate sets: past the size where a heuristic
+        # search used to take over, so the bound-pruned search must still
+        # land on the exhaustive scan's set, tie rule included.
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            rds = [
-                D.from_pairs(
-                    (float(v), float(p))
-                    for v, p in zip(
-                        rng.choice(15, size=3, replace=False),
-                        rng.random(3) + 0.05,
+        for n in (7, 15):
+            for _ in range(10):
+                rds = [
+                    D.from_pairs(
+                        (float(v), float(p))
+                        for v, p in zip(
+                            rng.choice(15, size=3, replace=False),
+                            rng.random(3) + 0.05,
+                        )
                     )
-                )
-                for _ in range(7)
-            ]
-            exact = TopKComputer(rds, k=3, exact_set_limit=100)
-            climber = TopKComputer(rds, k=3, exact_set_limit=1, swap_width=4)
-            _eset, evalue = exact.best_set(CorrectnessMetric.ABSOLUTE)
-            _hset, hvalue = climber.best_set(CorrectnessMetric.ABSOLUTE)
-            # Hill climbing may miss the global optimum but must be close.
-            assert hvalue <= evalue + 1e-12
-            assert hvalue >= 0.8 * evalue
+                    for _ in range(n)
+                ]
+                computer = TopKComputer(rds, k=3)
+                assert computer.best_set(
+                    CorrectnessMetric.ABSOLUTE
+                ) == exhaustive_best(computer)
+
+    def test_former_hillclimb_miss(self):
+        """An instance the marginal-seeded hill climb answered wrongly.
+
+        It stopped at (2, 3, 4) with P = 4/35 = 0.114; the optimum is
+        (1, 2, 5) with P = 6/35.
+        """
+        spec = [
+            [(1, 1)], [(2, 4), (9, 3)], [(7, 3)], [(6, 1)], [(7, 4), (1, 4)],
+            [(9, 2), (0, 3)], [(2, 4), (6, 4)], [(2, 2)], [(2, 2)], [(0, 4)],
+            [(3, 2), (4, 4)], [(6, 2), (2, 3)], [(2, 2), (7, 1)],
+            [(4, 3), (6, 2)], [(1, 1), (6, 3)],
+        ]
+        rds = [
+            D.from_pairs((float(v), float(w)) for v, w in pairs)
+            for pairs in spec
+        ]
+        best, value = TopKComputer(rds, k=3).best_set(
+            CorrectnessMetric.ABSOLUTE
+        )
+        assert best == (1, 2, 5)
+        assert value == pytest.approx(6 / 35, abs=1e-12)
+
+
+def exhaustive_best(computer, override=None):
+    """Every C(n, k) set in ``combinations`` order; first set, > 1e-15 wins."""
+    from itertools import combinations
+
+    best, best_value = tuple(range(computer.k)), -1.0
+    for candidate in combinations(range(computer.num_databases), computer.k):
+        value = computer.prob_set_is_topk(candidate, override)
+        if value > best_value + 1e-15:
+            best, best_value = candidate, value
+    return best, max(0.0, best_value)
 
 
 class TestMonteCarloAgreement:

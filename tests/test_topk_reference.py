@@ -3,12 +3,15 @@
 The reference enumerates the full joint support (product of all atom
 combinations) and computes every probability by summation — exponential
 but exact, so agreement is to machine precision rather than Monte-Carlo
-tolerance.
+tolerance. :func:`rational_set_probabilities` repeats the enumeration
+in exact rational arithmetic (:class:`fractions.Fraction`), the oracle
+the set-probability kernels are pinned to.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -181,10 +184,148 @@ class TestHypothesisAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_best_set_probability_exact(self, instance):
         rds, k = instance
-        computer = TopKComputer(rds, k, exact_set_limit=10_000)
+        computer = TopKComputer(rds, k)
         _reference, sets = brute_force_topk_stats(rds, k)
         best, claimed = computer.best_set(CorrectnessMetric.ABSOLUTE)
         assert claimed == pytest.approx(
             max(sets.values()), abs=1e-10
         )
         assert sets.get(tuple(best), 0.0) == pytest.approx(claimed, abs=1e-10)
+
+
+def rational_set_probabilities(rds, k):
+    """P[S = top-k] for every set S, exactly, over all joint realisations.
+
+    Each float atom probability is read as the rational it exactly
+    represents, so the only error left in a comparison is the kernel's.
+    """
+    atom_lists = [
+        [(value, Fraction(prob)) for value, prob in rd.atoms()] for rd in rds
+    ]
+    exact: dict[tuple[int, ...], Fraction] = {}
+    for combo in product(*atom_lists):
+        prob = Fraction(1)
+        for _value, p in combo:
+            prob *= p
+        winners = rank_by_relevancy([value for value, _p in combo], k)
+        exact[winners] = exact.get(winners, Fraction(0)) + prob
+    return exact
+
+
+@st.composite
+def tied_instances(draw):
+    """Small instances with colliding values, one database maybe observed.
+
+    Values come from {0, ..., 3}, so ties across databases are common;
+    ``observed`` is ``None`` or a (database, value) pair the computer
+    is collapsed onto — a value outside the support included.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    rds = []
+    for _ in range(n):
+        values = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=3),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        weights = draw(
+            st.lists(
+                st.integers(min_value=1, max_value=4),
+                min_size=len(values),
+                max_size=len(values),
+            )
+        )
+        rds.append(
+            D.from_pairs((float(v), float(w)) for v, w in zip(values, weights))
+        )
+    k = draw(st.integers(min_value=1, max_value=n))
+    observed = draw(
+        st.none()
+        | st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=4),
+        )
+    )
+    return rds, k, observed
+
+
+def _scenarios(instance, backend):
+    """(computer, the RDs it represents, override) for every outcome.
+
+    The computer itself (collapsed when the instance observed a value),
+    then every hypothetical outcome of every database as an override.
+    """
+    rds, k, observed = instance
+    computer = TopKComputer(rds, k, backend=backend)
+    if observed is not None:
+        database, value = observed
+        computer = computer.collapse(database, float(value))
+        rds = list(rds)
+        rds[database] = D.impulse(float(value))
+    yield computer, rds, None
+    for database in range(len(rds)):
+        for atom, value, _prob in computer.atoms_of(database):
+            conditioned = list(rds)
+            conditioned[database] = D.impulse(value)
+            yield computer, conditioned, (database, atom)
+
+
+def _kernel_values(computer, override):
+    """All C(n, k) set probabilities from one batched kernel call."""
+    sets = np.asarray(
+        list(combinations(range(computer.num_databases), computer.k))
+    )
+    database, atom = (-1, -1) if override is None else override
+    owners = np.full(len(sets), database)
+    return sets, computer._pair_values(sets, owners, np.full(len(sets), atom))
+
+
+class TestRationalOracle:
+    @given(tied_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_python_kernel_matches_rationals(self, instance):
+        for computer, rds, override in _scenarios(instance, "python"):
+            exact = rational_set_probabilities(rds, computer.k)
+            sets, values = _kernel_values(computer, override)
+            for members, value in zip(sets.tolist(), values.tolist()):
+                expected = exact.get(tuple(members), Fraction(0))
+                assert abs(Fraction(value) - expected) <= Fraction(1, 10**12)
+
+    @given(tied_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_kernel_matches_python_kernel(self, instance):
+        from repro.core.backend import NumpyBackend
+
+        pairs = zip(
+            _scenarios(instance, "numpy"), _scenarios(instance, "python")
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            # A tiny chunk budget so the chunk seams are crossed too.
+            patch.setattr(NumpyBackend, "_SET_CHUNK_ELEMENTS", 7)
+            for (fast, _rds, override), (oracle, _same, _ov) in pairs:
+                _sets, tensor = _kernel_values(fast, override)
+                _sets, reference = _kernel_values(oracle, override)
+                # The canonical order is part of the kernel contract:
+                # the values agree bit for bit, not just within 1e-12.
+                np.testing.assert_array_equal(tensor, reference)
+
+    @given(tied_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_best_set_is_the_exhaustive_argmax(self, instance):
+        for computer, rds, override in _scenarios(instance, None):
+            best = computer.best_set(CorrectnessMetric.ABSOLUTE, override)
+            if 1 < computer.k < computer.num_databases:
+                # The set search proper (k = 1 reads the marginals).
+                sets, values = _kernel_values(computer, override)
+                expected, expected_value = tuple(range(computer.k)), -1.0
+                for members, value in zip(sets.tolist(), values.tolist()):
+                    if value > expected_value + 1e-15:
+                        expected, expected_value = tuple(members), value
+                assert best == (expected, max(0.0, expected_value))
+            exact = rational_set_probabilities(rds, computer.k)
+            assert abs(
+                Fraction(best[1]) - max(exact.values())
+            ) <= Fraction(1, 10**12)
