@@ -114,14 +114,15 @@ class ArrayBackend(abc.ABC):
 
     @abc.abstractmethod
     def override_membership(
-        self, dp_loo: np.ndarray, g: np.ndarray, k: int
+        self, loo: np.ndarray, owners: np.ndarray, g: np.ndarray, k: int
     ) -> np.ndarray:
-        """Fold indicator outrank rows into a leave-one-out table.
+        """Fold indicator outrank rows into leave-one-out tables.
 
-        ``dp_loo`` is a (broadcastable) ``(..., m, k)`` leave-one-out
-        count table; ``g`` a ``(..., m)`` 0/1 outrank row per
-        hypothetical impulse. Returns ``(..., m)``:
-        ``P[count <= k-1]`` per atom after folding in the impulse.
+        ``loo`` is a stack of ``(N, m, k)`` leave-one-out count tables,
+        ``owners`` an ``(R,)`` index into it and ``g`` an ``(R, m)``
+        boolean outrank row per hypothetical impulse. Row r folds
+        ``g[r]`` into ``loo[owners[r]]`` as one more DP step and returns
+        ``P[count <= k-1]`` per atom: shape ``(R, m)``.
         """
 
     @abc.abstractmethod

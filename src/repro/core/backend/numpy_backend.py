@@ -1,12 +1,14 @@
 """The default tensor backend: stacked array kernels, no per-database loops.
 
 Subclasses the row-wise oracle and overrides exactly the kernels where a
-whole-matrix formulation wins; inherited kernels (the k > 1 DP recurrence
-step, the collapse column search) are already a handful of array ops per
-call. A compiled backend would subclass this the same way.
+whole-matrix formulation wins. It inherits the k > 1 DP chain (the
+oracle builds it in place, three contiguous array operations per
+database), the leave-one-out combine (a k² loop of slice products) and
+the collapse column search. A compiled backend would subclass this the
+same way.
 
 Bitwise notes (why the equality contract holds tighter than 1e-9 in
-practice):
+practice — every kernel here matches the oracle bit for bit):
 
 * ``outrank_structures`` accumulates each database's mass over the
   rank-ordered one-hot matrix. The interleaved zero terms add exactly,
@@ -14,15 +16,16 @@ practice):
   bitwise identical to the oracle's per-database ``searchsorted`` reads.
 * The k = 1 DP chain is a running product; ``np.cumprod`` performs the
   same multiplication sequence as the per-database fold.
-* The k = 1 leave-one-out combine and override fold reduce to single
-  elementwise products, matching the oracle's loop bodies term for term.
-* ``set_probabilities`` multiplies a set's factors along the database
-  axis (a multiply reduction runs in index order) and sums its terms
-  with ``cumsum`` (strictly left to right), so every pair's value is the
+* ``override_membership`` folds a 0/1 row: where it is 1 the folded
+  table is the leave-one-out table shifted up one count, where it is 0
+  the table itself. Selecting between the two summed tables reproduces
+  the oracle's fold-then-sum term for term (at k = 1, one elementwise
+  product, as in the oracle's loop body).
+* ``set_probabilities`` multiplies each term's factors along the
+  database axis (a multiply reduction runs in index order, and a block's
+  first row takes the running product) and sums a pair's terms with
+  ``cumsum`` (strictly left to right), so every pair's value is the
   oracle's loop result bit for bit, as the kernel contract requires.
-* Only the k > 1 einsum combine reassociates sums (over at most k ≤ n
-  unit-bounded terms), which is where the ≤1e-9 tolerance actually
-  earns its keep.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ class NumpyBackend(PythonBackend):
 
     name = "numpy"
     vectorized = True
-
-    def __init__(self) -> None:
-        # Indicator tensors T[a, b, c] = [a + b == c], cached per k for
-        # the leave-one-out einsum combine.
-        self._combine_tensors: dict[int, np.ndarray] = {}
 
     def outrank_structures(self, probs, dbs, ranks, order, n):
         m = len(probs)
@@ -96,30 +94,29 @@ class NumpyBackend(PythonBackend):
             out[1:, :, 0] = np.cumprod(survive, axis=0)
         return out
 
-    def loo_combine(self, pre, suf, k):
+    def override_membership(self, loo, owners, g, k):
         if k == 1:
-            return pre * suf
-        combine = self._combine_tensors.get(k)
-        if combine is None:
-            counts = np.arange(k)
-            combine = (
-                counts[:, None, None] + counts[None, :, None]
-                == counts[None, None, :]
-            ).astype(np.float64)
-            self._combine_tensors[k] = combine
-        return np.einsum("...a,...b,abc->...c", pre, suf, combine)
+            return loo[owners, :, 0] * (1.0 - g)
+        # An indicator row makes the fold a select: where g is 0 the
+        # folded table is the leave-one-out table itself, where g is 1 it
+        # is that table shifted up one count (a leading 0.0, then every
+        # count but the last). Both sums run over the same contiguous
+        # k-axis as the oracle's, so each entry is its fold bit for bit;
+        # only the two (N, m) sums are computed, never an (R, m, k) table.
+        shifted = np.zeros_like(loo)
+        shifted[..., 1:] = loo[..., :-1]
+        whole = loo.sum(axis=-1)
+        raised = shifted.sum(axis=-1)
+        return np.where(g, raised[owners], whole[owners])
 
-    def override_membership(self, dp_loo, g, k):
-        if k == 1:
-            return dp_loo[..., 0] * (1.0 - g)
-        return super().override_membership(dp_loo, g, k)
-
-    #: Element budget of one chunk of set rows: the gathered (databases
-    #: × rows × member atoms) factor tensor stays below it, and the
-    #: (pairs × member atoms) arrays of one pair slice below a quarter
-    #: of it, so peak memory is bounded however many sets a search
-    #: evaluates — and stays small per thread when serve threads
-    #: search concurrently.
+    #: Element budget of the set kernel's temporaries. The factor
+    #: product gathers at most this many (database, slot) factors at a
+    #: time and one pair slice's (pairs × width) term matrix stays below
+    #: it; a chunk of rows lays out at most a quarter of it in padded
+    #: (row, atom) slots, since several per-slot arrays live at once.
+    #: Peak memory is therefore bounded however many sets a search
+    #: evaluates, and stays small per thread when serve threads search
+    #: concurrently.
     _SET_CHUNK_ELEMENTS = 16_384
 
     def set_probabilities(
@@ -135,95 +132,150 @@ class NumpyBackend(PythonBackend):
         rows,
         outcomes,
     ):
-        n, m = greater.shape
         # An atom's own database is a member: its factor is a neutral
         # 1.0 taken from this copy of the greater matrix.
         greater = greater.copy()
-        greater[dbs, np.arange(m)] = 1.0
+        greater[dbs, np.arange(len(dbs))] = 1.0
         # Rows are laid out as their members' atoms only, the spans
         # concatenated, and processed narrowest first so a chunk pads
-        # little: a pad slot points at an atom with weight 0, and adding
-        # 0.0 leaves the sum exact.
+        # little: a pad slot weighs 0.0, and adding 0.0 leaves the sum
+        # exact.
         lengths = (bounds[1:] - bounds[:-1])[sets]  # (R, k)
-        ends = np.cumsum(lengths, axis=1)
-        by_width = np.argsort(ends[:, -1], kind="stable")
+        widths = lengths.sum(axis=1)
+        by_width = np.argsort(widths, kind="stable")
         position_of = np.empty(len(sets), dtype=np.intp)
         position_of[by_width] = np.arange(len(sets))
         # Pairs are streamed in the same order, a chunk of rows at a time.
         order = np.argsort(position_of[rows], kind="stable")
         sorted_positions = position_of[rows[order]]
-        widths = ends[by_width, -1].tolist()
-        capacity = self._SET_CHUNK_ELEMENTS // n
+        sorted_widths = widths[by_width].tolist()
+        capacity = self._SET_CHUNK_ELEMENTS // 4
         out = np.empty(len(rows), dtype=np.float64)
         lo = 0
         while lo < len(sets):
             # The widest row of a chunk is its last; shrink until the
-            # chunk fits the budget (or holds a single row).
-            hi = min(len(sets), lo + max(1, capacity // widths[lo]))
-            while hi - lo > 1 and (hi - lo) * widths[hi - 1] > capacity:
-                hi = lo + max(1, capacity // widths[hi - 1])
-            picked_rows = by_width[lo:hi]
+            # padded chunk fits (or holds a single row).
+            hi = min(len(sets), lo + max(1, capacity // sorted_widths[lo]))
+            while hi - lo > 1 and (hi - lo) * sorted_widths[hi - 1] > capacity:
+                hi = lo + max(1, capacity // sorted_widths[hi - 1])
+            picked = by_width[lo:hi]
             first, last = np.searchsorted(sorted_positions, (lo, hi))
             self._set_chunk(
-                greater, less, probs, ranks, bounds, sets[picked_rows],
-                lengths[picked_rows], ends[picked_rows],
-                overridden[picked_rows], position_of[rows[order[first:last]]] - lo,
+                greater, less, probs, ranks, bounds, sets[picked],
+                lengths[picked], widths[picked], overridden[picked],
+                sorted_positions[first:last] - lo,
                 outcomes[order[first:last]], out, order[first:last],
             )
             lo = hi
         return np.clip(out, 0.0, 1.0, out=out)
 
     def _set_chunk(
-        self, greater, less, probs, ranks, bounds, sets, lengths, ends,
+        self, greater, less, probs, ranks, bounds, sets, lengths, widths,
         overridden, local_rows, chosen, out, targets,
     ):
-        count, k = sets.shape
-        width = int(ends[:, -1].max())
-        slots = np.arange(width)
-        member = (slots[None, None, :] >= ends[:, :, None]).sum(axis=1)
-        live = member < k
-        member = np.minimum(member, k - 1)
-        owner = np.take_along_axis(sets, member, axis=1)  # (rows, A)
-        begin = np.take_along_axis(ends - lengths, member, axis=1)
-        atoms = np.where(live, bounds[owner] + slots - begin, bounds[owner])
-        everyone = np.arange(count)
-        # Non-members' rows read the less matrix, members' the greater.
-        factors = less[:, atoms]  # (n, rows, A)
-        factors[sets.T, everyone] = greater[sets.T[:, :, None], atoms[None]]
+        """Sum each pair's surviving terms, a slice of pairs at a time."""
+        # Another member's atom survives iff the outcome outranks it (the
+        # overridden database a member) or ranks below it (outside) — one
+        # compare of sign · rank against the pair's threshold; without an
+        # override every term survives. The overridden database's own
+        # atoms never pass the compare: the outcome's slot is switched
+        # back on by its position in the row.
+        is_overridden = sets == overridden[:, None]
+        inside = is_overridden.any(axis=1)
+        sign = np.where(inside, 1.0, -1.0)
+        terms_by_row, keys_by_row = self._row_terms(
+            greater, less, probs, ranks, bounds, sets, lengths, widths,
+            overridden, sign,
+        )
+        before = np.cumsum(lengths, axis=1) - lengths
+        offset = (
+            before[np.arange(len(sets)), is_overridden.argmax(axis=1)]
+            - bounds[overridden]
+        )
+        step = max(1, self._SET_CHUNK_ELEMENTS // terms_by_row.shape[1])
+        for start in range(0, len(local_rows), step):
+            part = slice(start, start + step)
+            picked = local_rows[part]
+            outcome = chosen[part]
+            threshold = np.where(
+                overridden[picked] >= 0, sign[picked] * ranks[outcome], np.inf
+            )
+            survives = threshold[:, None] > keys_by_row[picked]
+            lit = np.flatnonzero(inside[picked])
+            survives[lit, offset[picked[lit]] + outcome[lit]] = True
+            terms = terms_by_row[picked]
+            terms *= survives
+            # cumsum adds strictly left to right, as the contract sums.
+            np.cumsum(terms, axis=1, out=terms)
+            out[targets[part]] = terms[:, -1]
+
+    def _row_terms(
+        self, greater, less, probs, ranks, bounds, sets, lengths, widths,
+        overridden, sign,
+    ):
+        """Padded (rows × width) terms w_t · Π_j f_j(t) and survival keys.
+
+        Row r lists its members' atoms, spans concatenated; pads weigh
+        0.0 and carry key +inf, so they never survive.
+        """
+        n, m = greater.shape
+        count = len(sets)
+        # The flat slot layout: slot s is atom slot_atom[s] of row
+        # slot_row[s], owned by database slot_owner[s].
+        spans = lengths.ravel()
+        members = sets.ravel()
+        total = int(spans.sum())
+        span_starts = np.cumsum(spans) - spans
+        slot_atom = np.arange(total) + np.repeat(
+            bounds[members] - span_starts, spans
+        )
+        slot_row = np.repeat(np.arange(count), widths)
+        slot_owner = np.repeat(members, spans)
+        overridden_slot = overridden[slot_row]
+        own = slot_owner == overridden_slot
         # The collapsed database's row is the impulse's 0/1 indicator,
         # so it is left out of the row product (factor 1.0) and applied
         # per outcome as a term filter: multiplying a running product by
-        # 1.0 is exact and by 0.0 zeroes it, so no bit changes.
-        overriding = np.flatnonzero(overridden >= 0)
-        factors[overridden[overriding], overriding] = 1.0
-        own = (owner == overridden[:, None]) & live
-        contrib = np.where(own, 1.0, np.where(live, probs[atoms], 0.0))
-        contrib *= factors.prod(axis=0)  # (rows, A)
-        del factors
-        # Database i's own atoms survive iff they are the outcome, with
-        # weight 1; another member's atom survives iff the outcome
-        # outranks it (i a member) or ranks below it (i outside) — one
-        # compare of sign · rank. Without an override every term
-        # survives.
-        inside = (sets == overridden[:, None]).any(axis=1)
-        sign = np.where(inside, 1.0, -1.0)
-        keys = np.where(own | ~live, np.inf, sign[:, None] * ranks[atoms])
-        keys[overridden < 0] = -np.inf
-        own_atoms = np.where(own, atoms, -1)
-        # Each pair slice gathers several (pairs × A) arrays at once.
-        step = max(1, self._SET_CHUNK_ELEMENTS // (4 * width))
-        for start in range(0, len(local_rows), step):
-            part = local_rows[start : start + step]
-            outcome = chosen[start : start + step]
-            signed = np.where(
-                overridden[part] >= 0, sign[part] * ranks[outcome], 0.0
-            )
-            survives = signed[:, None] > keys[part]
-            survives |= own_atoms[part] == outcome[:, None]
-            terms = contrib[part]
-            terms[~survives] = 0.0
-            np.cumsum(terms, axis=1, out=terms)
-            out[targets[start : start + step]] = terms[:, -1]
+        # 1.0 is exact and by 0.0 zeroes it, so no bit changes. Without
+        # an override the slot's own database takes that write (its
+        # factor is 1.0 already).
+        neutral = np.where(overridden_slot >= 0, overridden_slot, slot_owner)
+        # Π_j f_j(t) over database rows j ascending, for a block of slots
+        # at a time: every row reads the less matrix, then the members'
+        # entries the greater one and the neutral entry 1.0, written
+        # through flat indices (row j of an (n, slots) block starts at
+        # j · slots). A multiply reduction along axis 0 runs in index
+        # order, so every product is the oracle's sequence bit for bit.
+        flat_greater = greater.ravel()
+        members_by_column = np.ascontiguousarray(sets.T)  # (k, count)
+        product = np.empty(total, dtype=np.float64)
+        step = max(1, self._SET_CHUNK_ELEMENTS // n)
+        for begin in range(0, total, step):
+            block = slice(begin, begin + step)
+            atoms = slot_atom[block]
+            size = len(atoms)
+            columns = np.arange(size)
+            mine = members_by_column.take(slot_row[block], axis=1)
+            factors = less.take(atoms, axis=1)
+            flat = factors.ravel()
+            flat[mine * size + columns] = flat_greater.take(mine * m + atoms)
+            flat[neutral[block] * size + columns] = 1.0
+            np.multiply.reduce(factors, axis=0, out=product[block])
+        # The overridden database's own atoms weigh 1.0 (the outcome
+        # atom alone survives the filter).
+        weights = probs[slot_atom]
+        weights[own] = 1.0
+        keys = sign[slot_row] * ranks[slot_atom]
+        keys[own] = np.inf
+        width = int(widths.max())
+        padded = np.arange(total) + np.repeat(
+            np.arange(count) * width - span_starts[:: sets.shape[1]], widths
+        )
+        terms_by_row = np.zeros((count, width), dtype=np.float64)
+        terms_by_row.ravel()[padded] = weights * product
+        keys_by_row = np.full((count, width), np.inf)
+        keys_by_row.ravel()[padded] = keys
+        return terms_by_row, keys_by_row
 
     def collapse_column(
         self,

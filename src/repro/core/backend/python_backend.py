@@ -57,28 +57,28 @@ class PythonBackend(ArrayBackend):
         greater[dbs, np.arange(m)] = 0.0
         return greater, less, db_sorted_ranks, db_cumprobs
 
-    @staticmethod
-    def _dp_step(dp: np.ndarray, p_row: np.ndarray) -> np.ndarray:
-        """One DP step: fold in a database with outrank probabilities."""
-        p = p_row[:, None]
-        keep = dp * (1.0 - p)
-        keep[:, 1:] += dp[:, :-1] * p
-        return keep
-
     def dp_chain(self, greater, k, reverse=False):
+        # Each step folds database j into the previous table: keep =
+        # dp * (1 - p), then keep[:, 1:] += dp[:, :-1] * p. The chain is
+        # built count-major, (n+1, k, m), so each step is three
+        # same-shape contiguous array operations written in place; the
+        # result is laid out (n+1, m, k).
         n, m = greater.shape
-        out = np.empty((n + 1, m, k), dtype=np.float64)
-        init = np.zeros((m, k), dtype=np.float64)
-        init[:, 0] = 1.0
-        if reverse:
-            out[n] = init
-            for j in reversed(range(n)):
-                out[j] = self._dp_step(out[j + 1], greater[j])
-        else:
-            out[0] = init
-            for j in range(n):
-                out[j + 1] = self._dp_step(out[j], greater[j])
-        return out
+        chain = np.empty((n + 1, k, m), dtype=np.float64)
+        first = n if reverse else 0
+        chain[first] = 0.0
+        chain[first, 0] = 1.0
+        survive = np.repeat((1.0 - greater)[:, None, :], k, axis=1)
+        outrank = np.repeat(greater[:, None, :], k - 1, axis=1)
+        shifted = np.empty((k - 1, m), dtype=np.float64)
+        tables = list(chain)
+        lower, upper = list(chain[:, :-1]), list(chain[:, 1:])
+        for j in reversed(range(n)) if reverse else range(n):
+            source, target = (j + 1, j) if reverse else (j, j + 1)
+            np.multiply(tables[source], survive[j], out=tables[target])
+            np.multiply(lower[source], outrank[j], out=shifted)
+            np.add(upper[target], shifted, out=upper[target])
+        return np.ascontiguousarray(chain.transpose(0, 2, 1))
 
     def loo_combine(self, pre, suf, k):
         out = np.zeros_like(pre)
@@ -87,8 +87,11 @@ class PythonBackend(ArrayBackend):
                 out[..., c] += pre[..., a] * suf[..., c - a]
         return out
 
-    def override_membership(self, dp_loo, g, k):
-        p = g[..., None]
+    def override_membership(self, loo, owners, g, k):
+        # The general fold: one more DP step with probabilities g, then
+        # P[count <= k-1] is the sum over the truncated counts.
+        dp_loo = loo[owners]
+        p = np.asarray(g, dtype=np.float64)[..., None]
         keep = dp_loo * (1.0 - p)
         keep[..., 1:] += dp_loo[..., :-1] * p
         return keep.sum(axis=-1)

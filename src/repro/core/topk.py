@@ -39,6 +39,7 @@ run costs one rank-structure build instead of ``1 + num_probes`` builds.
 from __future__ import annotations
 
 import enum
+import functools
 from itertools import combinations
 from collections.abc import Sequence
 
@@ -506,11 +507,11 @@ class TopKComputer:
         dp_loo = self._loo_dp(i)
         # Indicator outrank rows of each hypothetical impulse, own span
         # masked (conditioned on, not competing).
-        g_rows = (ranks[span][:, None] > ranks[None, :]).astype(np.float64)
-        g_rows[:, start:stop] = 0.0
+        g_rows = ranks[span][:, None] > ranks[None, :]
+        g_rows[:, start:stop] = False
         # (s, m): P(count <= k-1) per atom under each hypothetical.
         membership = self._backend.override_membership(
-            dp_loo[None, :, :], g_rows, self._k
+            dp_loo[None], np.zeros(len(span), dtype=np.intp), g_rows, self._k
         )
         masked_probs = self._atom_probs.copy()
         masked_probs[start:stop] = 0.0
@@ -536,29 +537,32 @@ class TopKComputer:
         A greedy usefulness sweep asks for the batch of each candidate
         in turn; stacking the per-database computations collapses the n
         passes of :meth:`_override_marginals_all` into one set of
-        (m × m × k) array operations. Each row's own-database span is
-        masked exactly like the per-database path (compare
-        ``g_rows[:, start:stop] = 0`` with the ``own`` mask below), so
-        the stored batches are bitwise identical to it.
+        (m × m) array operations: row t0 folds its outrank row into the
+        leave-one-out table of t0's database. Each row's own-database
+        span is masked exactly like the per-database path (compare
+        ``g_rows[:, start:stop] = False`` with the ``own`` mask below),
+        so the stored batches are bitwise identical to it.
         """
         m = self._num_atoms
-        loo_atom = self._loo_dps_all()[self._atom_dbs]  # (m, m, k)
+        loo_all = self._loo_dps_all()  # (n, m, k)
         ranks = self._atom_ranks
         if self._own_mask is None:
             self._own_mask = (
                 self._atom_dbs[:, None] == self._atom_dbs[None, :]
             )
         own = self._own_mask
-        g_all = (ranks[:, None] > ranks[None, :]).astype(np.float64)
-        g_all[own] = 0.0
+        g_all = ranks[:, None] > ranks[None, :]
+        g_all[own] = False
         membership = self._backend.override_membership(
-            loo_atom, g_all, self._k
+            loo_all, self._atom_dbs, g_all, self._k
         )  # (m, m)
         contrib = membership * np.where(own, 0.0, self._atom_probs[None, :])
         starts = np.asarray(self._db_atom_start, dtype=np.intp)
         batch_all = np.add.reduceat(contrib, starts, axis=1)  # (m, n)
         idx = np.arange(m)
-        batch_all[idx, self._atom_dbs] = loo_atom[idx, idx].sum(axis=1)
+        batch_all[idx, self._atom_dbs] = loo_all[self._atom_dbs, idx].sum(
+            axis=1
+        )
         batch_all = np.clip(batch_all, 0.0, 1.0)
         self._batch_all = batch_all
         for i in range(self._n):
@@ -857,8 +861,9 @@ class TopKComputer:
     _BOUND_SLACK = 1e-9
 
     #: (set, outcome) pairs per kernel call of the second search round;
-    #: bounds the index arrays a wide, flat belief state builds.
-    _PAIRS_PER_CALL = 2_048
+    #: bounds the index arrays a wide, flat belief state builds (the
+    #: kernel chunks its own temporaries).
+    _PAIRS_PER_CALL = 8_192
 
     def _best_absolute(
         self, outcomes: np.ndarray | None
@@ -901,40 +906,89 @@ class TopKComputer:
         # The incumbent's own members always clear its value.
         admitted = marginals >= (floor - self._BOUND_SLACK)[:, None]
         redo = np.flatnonzero(admitted.sum(axis=1) > k)
-        blocks = []
-        for owner in sorted(set(owners[redo].tolist())):
-            group = redo[owners[redo] == owner]
-            allowed = admitted[group]
-            pool = np.flatnonzero(allowed.any(axis=0)).tolist()
-            sets = np.asarray(list(combinations(pool, k)), dtype=np.intp)
-            blocks.append((group, sets[allowed[:, sets].all(axis=2).any(axis=0)]))
-        while blocks:
-            batch = [blocks.pop()]
+        if not len(redo):
+            return results
+        # Outcomes grouped by database; each group's candidate sets are
+        # its kernel rows, shared by all of the group's outcomes.
+        redo = redo[np.argsort(owners[redo], kind="stable")]
+        starts = np.flatnonzero(np.diff(owners[redo], prepend=-2))
+        pools = np.logical_or.reduceat(admitted[redo], starts, axis=0)
+        groups = []
+        for lo, hi, pool in zip(
+            starts.tolist(), [*starts[1:].tolist(), len(redo)], pools
+        ):
+            members = np.flatnonzero(pool)
+            sets = members[_combination_indices(len(members), k)]
+            sets = sets[admitted[redo[lo:hi]][:, sets].all(axis=2).any(axis=0)]
+            groups.append((redo[lo:hi], sets))
+        while groups:
+            batch = [groups.pop()]
             size = len(batch[0][0]) * len(batch[0][1])
-            while blocks and size + len(blocks[-1][0]) * len(blocks[-1][1]) <= (
+            while groups and size + len(groups[-1][0]) * len(groups[-1][1]) <= (
                 self._PAIRS_PER_CALL
             ):
-                size += len(blocks[-1][0]) * len(blocks[-1][1])
-                batch.append(blocks.pop())
-            values = self._pair_values(
-                np.concatenate(
-                    [np.tile(sets, (len(group), 1)) for group, sets in batch]
-                ),
-                np.concatenate(
-                    [np.repeat(owners[group], len(sets)) for group, sets in batch]
-                ),
-                np.concatenate(
-                    [np.repeat(outcomes[group], len(sets)) for group, sets in batch]
-                ),
-            )
-            offset = 0
-            for group, sets in batch:
-                block = values[offset : offset + len(group) * len(sets)]
-                offset += len(block)
-                scanned = _scan_best(sets, block.reshape(len(group), len(sets)))
-                for index, result in zip(group.tolist(), scanned):
-                    results[index] = result
+                size += len(groups[-1][0]) * len(groups[-1][1])
+                batch.append(groups.pop())
+            self._scan_batch(batch, owners, outcomes, results)
         return results
+
+    def _scan_batch(
+        self,
+        batch: list[tuple[np.ndarray, np.ndarray]],
+        owners: np.ndarray,
+        outcomes: np.ndarray,
+        results: list[tuple[tuple[int, ...], float]],
+    ) -> None:
+        """Evaluate and scan groups of (outcome indices, sets) in one call.
+
+        Every outcome of a group pairs with every set of the group, in
+        combinations order; one kernel call covers the batch, and
+        ``results`` receives what the exhaustive scan keeps for each
+        outcome: the first set, replaced only on an improvement above
+        1e-15. When no other set comes within 2e-15 of an outcome's
+        maximum the scan ends on that maximum, so the first maximum
+        answers; the rare near-tied outcome runs the scan itself.
+        """
+        chosen = np.concatenate([group for group, _sets in batch])
+        set_counts = [len(sets) for _group, sets in batch]
+        sets = np.concatenate([sets for _group, sets in batch])
+        row_offsets = np.cumsum(set_counts) - set_counts
+        sizes = np.repeat(set_counts, [len(group) for group, _sets in batch])
+        firsts = np.repeat(row_offsets, [len(group) for group, _sets in batch])
+        pair_starts = np.cumsum(sizes) - sizes
+        rows = np.arange(int(sizes.sum()))
+        rows -= np.repeat(pair_starts - firsts, sizes)
+        values = self._backend.set_probabilities(
+            self._greater,
+            self._less,
+            self._atom_probs,
+            self._atom_dbs,
+            self._atom_ranks,
+            self._db_atom_bounds,
+            sets,
+            np.repeat(owners[[group[0] for group, _sets in batch]], set_counts),
+            rows,
+            np.repeat(outcomes[chosen], sizes),
+        )
+        peaks = np.maximum.reduceat(values, pair_starts)
+        near = values >= np.repeat(peaks - 2e-15, sizes)
+        counts = np.add.reduceat(near, pair_starts)
+        winners = np.flatnonzero(near)[np.cumsum(counts) - counts]
+        for position in np.flatnonzero(counts > 1).tolist():
+            start = int(pair_starts[position])
+            best, value = start, -1.0
+            for index, candidate in enumerate(
+                values[start : start + sizes[position]].tolist(), start
+            ):
+                if candidate > value + 1e-15:
+                    best, value = index, candidate
+            winners[position] = best
+        for index, members, value in zip(
+            chosen.tolist(),
+            sets[rows[winners]].tolist(),
+            values[winners].tolist(),
+        ):
+            results[index] = (tuple(members), max(0.0, value))
 
     def _outcome_marginals(
         self, outcomes: np.ndarray, owners: np.ndarray
@@ -958,27 +1012,14 @@ class TopKComputer:
         )
 
 
-def _scan_best(
-    sets: np.ndarray, values: np.ndarray
-) -> list[tuple[tuple[int, ...], float]]:
-    """What the exhaustive scan keeps, per row of *values* over *sets*.
+@functools.lru_cache(maxsize=None)
+def _combination_indices(size: int, k: int) -> np.ndarray:
+    """Every k-subset of ``range(size)``, in ``combinations`` order.
 
-    The scan keeps the first set and replaces it only on an improvement
-    above 1e-15. When no other set comes within 2e-15 of a row's maximum
-    the scan ends on the first maximum, so the argmax answers; the rare
-    near-tied row runs the scan itself.
+    A read-only ``(C(size, k), k)`` table; indexing a sorted pool with
+    it lists the pool's k-sets in the same order ``combinations`` would.
     """
-    top = values.argmax(axis=1)
-    peak = values[np.arange(len(values)), top]
-    clear = np.count_nonzero(values >= (peak - 2e-15)[:, None], axis=1) == 1
-    results = []
-    for row, index, value, alone in zip(
-        values, top.tolist(), peak.tolist(), clear.tolist()
-    ):
-        if not alone:
-            index, value = 0, -1.0
-            for position, candidate in enumerate(row.tolist()):
-                if candidate > value + 1e-15:
-                    index, value = position, candidate
-        results.append((tuple(sets[index].tolist()), max(0.0, value)))
-    return results
+    table = np.asarray(list(combinations(range(size), k)), dtype=np.intp)
+    table = table.reshape(-1, k)
+    table.flags.writeable = False
+    return table

@@ -1,15 +1,15 @@
 """``repro-metasearch bench-core``: timings of the per-query hot path.
 
 Measures the core operations a deployment pays for on every uncached
-query — RD construction, ``best_set`` for k=1/k=3, ``marginals``, a
-full greedy usefulness sweep, and an end-to-end APro batch over the
-first ``apro_queries`` test queries, at the configured k and at the
+query — RD construction, ``best_set`` for k=1/k=3, ``marginals``, and
+a full greedy usefulness sweep plus an end-to-end APro batch over the
+first ``apro_queries`` test queries, each at the configured k and at the
 k = 3 the servers run (absolute metric) — on the paper testbed, and writes
 the result as ``BENCH_core.json`` so the perf trajectory is tracked
 in-repo (see docs/PERFORMANCE.md).
 
-The stages the optimization work targets (usefulness sweep, APro run at
-the configured k and at k = 3) are measured as **two variants**:
+The stages the optimization work targets (usefulness sweep and APro
+run, at the configured k and at k = 3) are measured as **two variants**:
 
 * ``baseline`` — the ``python`` backend, the row-wise reference oracle
   every other numeric path is pinned to (docs/PERFORMANCE.md, "The
@@ -75,10 +75,16 @@ BENCH_CORE_SCHEMA = "bench-core/v3"
 
 #: Scenario names every report must contain.
 _SHARED_SCENARIOS = ("rd_build", "best_set_k1", "best_set_k3", "marginals_k3")
-_COMPARED_SCENARIOS = ("usefulness_sweep", "apro_run", "apro_run_k3")
+_COMPARED_SCENARIOS = (
+    "usefulness_sweep",
+    "usefulness_sweep_k3",
+    "apro_run",
+    "apro_run_k3",
+)
 
-#: The answer-set size the servers run: ``apro_run_k3`` and the agreement
-#: check cover it whatever the configured k.
+#: The answer-set size the servers run: ``usefulness_sweep_k3``,
+#: ``apro_run_k3`` and the agreement check cover it whatever the
+#: configured k.
 _SERVED_K = 3
 
 #: Timed variants of each compared scenario, in round-robin order, and
@@ -178,6 +184,31 @@ def _paired_speedup(
         for b, o in zip(samples[baseline], samples[other])
     ]
     return round(statistics.median(ratios), 3)
+
+
+def _compared_variants(
+    run: Callable[[str], object], repeats: int
+) -> dict[str, object]:
+    """A compared scenario: ``run(backend)`` timed per variant, interleaved.
+
+    Returns each variant's timing summary, the paired speedup of the
+    ``backend`` variant over the ``baseline`` oracle and the round-robin
+    order.
+    """
+    times, samples = _timeit_interleaved(
+        {
+            name: (lambda backend=backend: run(backend))
+            for name, backend in _VARIANT_BACKENDS.items()
+        },
+        repeats,
+    )
+    return {
+        **times,
+        "speedup_backend_median": _paired_speedup(
+            samples, "baseline", "backend"
+        ),
+        "repeat_order": list(_VARIANTS),
+    }
 
 
 def _blas_info() -> str:
@@ -302,28 +333,22 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
         lambda: TopKComputer(rds, min(3, n)).marginals(), repeats
     )
 
-    def sweep_on(backend: str) -> None:
+    def sweep_on(backend: str, k: int) -> None:
         # One fresh computer per sweep: the usefulness of every
         # database, exactly what one APro policy round evaluates.
-        computer = TopKComputer(rds, config.k, backend=backend)
+        computer = TopKComputer(rds, k, backend=backend)
         policy = GreedyUsefulnessPolicy()
         for database in range(n):
             policy.usefulness(computer, database, CorrectnessMetric.ABSOLUTE)
 
-    sweep_times, sweep_samples = _timeit_interleaved(
-        {
-            name: (lambda backend=backend: sweep_on(backend))
-            for name, backend in _VARIANT_BACKENDS.items()
-        },
-        repeats,
-    )
-    scenarios["usefulness_sweep"] = {
-        **sweep_times,
-        "speedup_backend_median": _paired_speedup(
-            sweep_samples, "baseline", "backend"
-        ),
-        "repeat_order": list(_VARIANTS),
-    }
+    served_k = min(_SERVED_K, n)
+    for scenario, k in (
+        ("usefulness_sweep", config.k),
+        ("usefulness_sweep_k3", served_k),
+    ):
+        scenarios[scenario] = _compared_variants(
+            lambda backend, k=k: sweep_on(backend, k), repeats
+        )
 
     def apro_batch(runner: APro, k: int) -> None:
         # A batch over the first ``apro_queries`` test queries, not a
@@ -336,25 +361,14 @@ def run_bench_core(config: BenchCoreConfig | None = None) -> dict[str, object]:
             runner.run(query, k=k, threshold=config.threshold)
 
     runners = {
-        name: APro(selector, backend=backend)
-        for name, backend in _VARIANT_BACKENDS.items()
+        backend: APro(selector, backend=backend)
+        for backend in _VARIANT_BACKENDS.values()
     }
-    served_k = min(_SERVED_K, n)
     for scenario, k in (("apro_run", config.k), ("apro_run_k3", served_k)):
-        apro_times, apro_samples = _timeit_interleaved(
-            {
-                name: (lambda runner=runner, k=k: apro_batch(runner, k))
-                for name, runner in runners.items()
-            },
+        scenarios[scenario] = _compared_variants(
+            lambda backend, k=k: apro_batch(runners[backend], k),
             max(1, repeats // 2),
         )
-        scenarios[scenario] = {
-            **apro_times,
-            "speedup_backend_median": _paired_speedup(
-                apro_samples, "baseline", "backend"
-            ),
-            "repeat_order": list(_VARIANTS),
-        }
 
     report: dict[str, object] = {
         "schema": BENCH_CORE_SCHEMA,

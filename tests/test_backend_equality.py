@@ -205,17 +205,86 @@ def test_backends_agree_after_out_of_support_collapse_chain():
 
 
 def test_usefulness_sweep_matches_across_backends():
+    # numpy's one-pass sweep against the oracle's per-database route, at
+    # k = 1 (marginals) and at k > 1 with the absolute metric, where
+    # every per-outcome best-set value comes from the set kernel.
     from repro.core.policies import GreedyUsefulnessPolicy
 
-    rng = np.random.default_rng(7)
-    rds = _random_rds(rng, 6)
-    oracle, tensor = _computers(rds, 1)
+    metric = CorrectnessMetric.ABSOLUTE
     policy = GreedyUsefulnessPolicy()
-    for database in range(len(rds)):
-        u_oracle = policy.usefulness(
-            oracle, database, CorrectnessMetric.ABSOLUTE
+    for k in (1, 2, 3):
+        rng = np.random.default_rng(7)
+        rds = _random_rds(rng, 6)
+        oracle, tensor = _computers(rds, k)
+        assert tensor.usefulness_sweep(metric, policy._NEGLIGIBLE) is not None
+        for database in range(len(rds)):
+            u_oracle = policy.usefulness(oracle, database, metric)
+            u_tensor = policy.usefulness(tensor, database, metric)
+            assert u_oracle == pytest.approx(u_tensor, abs=1e-9), k
+            if k > 1:
+                # The sweep filled the memo the per-database route reads:
+                # the kernel's values agree bit for bit.
+                scores_oracle = oracle.conditional_best_scores(
+                    database, metric, min_prob=policy._NEGLIGIBLE
+                )
+                scores_tensor = tensor.conditional_best_scores(
+                    database, metric, min_prob=policy._NEGLIGIBLE
+                )
+                assert np.array_equal(scores_oracle, scores_tensor), k
+
+
+# -- bitwise equality of the marginal-DP kernels ------------------------------
+
+
+def _collapsed_computers(rng, k):
+    """Oracle and numpy computers on one random belief state.
+
+    Up to two databases are collapsed (in or out of support), so the
+    outrank matrices carry the 0/1 indicator rows of observed databases.
+    """
+    n = int(rng.integers(max(2, k), 8))
+    rds = _random_rds(rng, n)
+    oracle, tensor = _computers(rds, k)
+    for _ in range(int(rng.integers(0, 3))):
+        database = int(rng.integers(0, n))
+        if rng.random() < 0.5:
+            observed = float(rng.choice(rds[database].values))
+        else:
+            observed = float(rng.random() * 400.0)
+        oracle = oracle.collapse(database, observed)
+        tensor = tensor.collapse(database, observed)
+    return oracle, tensor
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 5))
+def test_dp_kernels_bitwise_equal_oracle(seed, k):
+    # The DP chains, the stacked leave-one-out tables and both override
+    # batch paths of the numpy backend reproduce the oracle's arithmetic
+    # exactly, not just within the 1e-9 certainty tolerance.
+    oracle, tensor = _collapsed_computers(np.random.default_rng(seed), k)
+    n = oracle.num_databases
+    assert np.array_equal(oracle._greater, tensor._greater)
+    assert np.array_equal(oracle._prefix_dps(), tensor._prefix_dps())
+    assert np.array_equal(oracle._suffix_dps(), tensor._suffix_dps())
+    assert np.array_equal(oracle._loo_dps_all(), tensor._loo_dps_all())
+    # The stacked path: every database's batch from one (m × m) pass.
+    oracle._override_batch_all()
+    tensor._override_batch_all()
+    assert np.array_equal(oracle._batch_all, tensor._batch_all)
+    # The per-database path, on fresh computers of the same belief
+    # state, forced by an element budget nothing fits.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TopKComputer, "_BATCH_ALL_LIMIT", 0)
+        fresh_oracle, fresh_tensor = _collapsed_computers(
+            np.random.default_rng(seed), k
         )
-        u_tensor = policy.usefulness(
-            tensor, database, CorrectnessMetric.ABSOLUTE
-        )
-        assert u_oracle == pytest.approx(u_tensor, abs=1e-9)
+        for i in range(n):
+            single = fresh_tensor._override_marginals_all(i)
+            assert np.array_equal(
+                fresh_oracle._override_marginals_all(i), single
+            )
+            assert np.array_equal(
+                tensor._override_marginals_all(i), single
+            )
+        assert fresh_tensor._batch_all is None

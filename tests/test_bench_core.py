@@ -60,6 +60,7 @@ def make_report(host="host-a", sweep_speedup=2.0, **config):
             "best_set_k3": _timing(1.2),
             "marginals_k3": _timing(0.6),
             "usefulness_sweep": _compared(1.0 * sweep_speedup, 1.0),
+            "usefulness_sweep_k3": _compared(12.0, 4.0),
             "apro_run": _compared(40.0, 20.0),
             "apro_run_k3": _compared(60.0, 20.0),
         },
@@ -95,6 +96,12 @@ class TestValidate:
         report = make_report()
         del report["scenarios"]["apro_run_k3"]
         with pytest.raises(ReproError, match="apro_run_k3"):
+            validate_bench_core(report)
+
+    def test_rejects_missing_k3_sweep_scenario(self):
+        report = make_report()
+        del report["scenarios"]["usefulness_sweep_k3"]
+        with pytest.raises(ReproError, match="usefulness_sweep_k3"):
             validate_bench_core(report)
 
     def test_rejects_agreement_without_k3(self):
@@ -160,6 +167,18 @@ class TestCheck:
             "usefulness_sweep/speedup_backend_median"
         )
 
+    def test_k3_sweep_ratio_drop_fails(self):
+        reference = make_report()
+        report = make_report()
+        report["scenarios"]["usefulness_sweep_k3"] = _compared(6.0, 4.0)
+        failures, _warnings = check_bench_core(
+            report, reference, tolerance=1.5
+        )
+        assert failures == [
+            "usefulness_sweep_k3/speedup_backend_median: 1.50x vs "
+            "reference 3.00x (< 1/1.50)"
+        ]
+
     def test_ratio_drop_within_tolerance_passes(self):
         reference = make_report(sweep_speedup=2.8)
         report = make_report(sweep_speedup=2.0)
@@ -207,7 +226,7 @@ def test_small_run_is_valid_and_agrees():
     )
     validate_bench_core(report)
     assert check_bench_core(report, None) == ([], [])
-    for scenario in ("apro_run", "apro_run_k3"):
+    for scenario in ("usefulness_sweep_k3", "apro_run", "apro_run_k3"):
         assert set(report["scenarios"][scenario]) == {
             "baseline",
             "backend",
